@@ -15,9 +15,10 @@ integro-differential form
     d/dt psi = (i/tau) int [psi(x+y) - psi(x)] W(y) dy,
 
 discretized here as an explicit Euler step with cell-integrated kernel
-weights and the sub-cell jump core folded into an effective diffusion;
-its single-step agreement with the spectral propagator is the numerical
-equivalence of the two forms.
+weights and the sub-cell jump core folded into an effective diffusion,
+applied as one circular convolution by FFT; its single-step agreement
+with the spectral propagator is the numerical equivalence of the two
+forms.
 
 Boundary conditions are periodic (discrete transform); packets must
 keep negligible boundary amplitude, which is checked.
@@ -181,11 +182,14 @@ def _kernel_radius(params: ExponentParams) -> float:
 
 @lru_cache(maxsize=8)
 def _jump_kernel(grid: GridSpec, params: ExponentParams):
-    """Cell-integrated weights of the jump kernel on the grid lattice.
+    """Fourier symbol of the cell-integrated jump generator on the grid.
 
     w[j-1] = int over [(j-1/2) dx, (j+1/2) dx] of W, j = 1..jmax;
     s_core = int over |y| < dx/2 of y^2 W(y) dy (both signs), the
     truncated small-jump second moment applied as a diffusion term.
+    Both go into one real, even circular kernel (weight w at +-j, the
+    Laplacian stencil at +-1, minus their sum at 0), whose DFT is the
+    real symbol returned.  jmax <= n/2 - 1, so the +-j cells never alias.
     """
     dx = grid.dx
     y_max = _kernel_radius(params)
@@ -200,31 +204,36 @@ def _jump_kernel(grid: GridSpec, params: ExponentParams):
     core_vals = core_nodes ** 2 * levy_density_1d(core_nodes, params)
     s_core = 2.0 * 0.5 * half * float(core_vals @ _GL4_WEIGHTS)
 
+    kernel = np.zeros(grid.n)
+    kernel[1:jmax + 1] = w
+    kernel[grid.n - jmax:] = w[::-1]
+    kernel[[1, -1]] += 0.5 * s_core / dx ** 2
+    kernel[0] = -kernel.sum()
+    symbol = np.fft.fft(kernel).real
+
     tail = 2.0 * levy_density_1d(jmax * dx + dx, params) * params.a \
         if jmax * dx < y_max else 0.0
-    w.setflags(write=False)
-    return w, s_core, jmax, float(tail)
+    symbol.setflags(write=False)
+    return symbol, jmax, float(tail)
 
 
 def evolve_jump_quadrature(psi: WaveFunction, dt: float,
                            params: ExponentParams):
     """One explicit Euler step of the integro-differential jump form.
 
-    Requires dt <= 1e-3 tau.  Returns (new_psi, JumpStepReport); the
-    report carries the documented O(dt^2) and kernel-truncation bounds.
+    The cell-weight kernel is applied as one circular convolution by
+    FFT.  Requires dt <= 1e-3 tau.  Returns (new_psi, JumpStepReport);
+    the report carries the documented O(dt^2) and kernel-truncation
+    bounds.
     """
     if dt > JUMP_STABILITY_FACTOR * params.tau:
         raise StabilityError(
             f"dt = {dt:g} exceeds the explicit-step stability bound "
             f"{JUMP_STABILITY_FACTOR:g} tau = {JUMP_STABILITY_FACTOR * params.tau:g}")
 
-    w, s_core, jmax, tail = _jump_kernel(psi.grid, params)
+    symbol, jmax, tail = _jump_kernel(psi.grid, params)
     v = psi.values
-    jump = np.zeros_like(v)
-    for j in range(1, jmax + 1):
-        jump += w[j - 1] * (np.roll(v, -j) + np.roll(v, j) - 2.0 * v)
-    lap = (np.roll(v, -1) + np.roll(v, 1) - 2.0 * v) / psi.grid.dx ** 2
-    jump += 0.5 * s_core * lap
+    jump = np.fft.ifft(symbol * np.fft.fft(v))
 
     new_values = v + 1j * (dt / params.tau) * jump
 

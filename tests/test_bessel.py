@@ -43,8 +43,9 @@ def test_small_argument_k1_pole():
 
 
 def test_recurrence_identity():
-    # K2 = K0 + (2/z) K1, here a genuine cross-check: the three orders
-    # are computed from their own series/integrals
+    # K2 = K0 + (2/z) K1, a genuine cross-check: kn(2, .) is Amos's
+    # zbesk, not a recurrence on the Cephes k0 and k1 used for the
+    # lower orders
     z = np.logspace(np.log10(0.01), 2.0, 300)
     lhs = bessel_k(2, z)
     rhs = bessel_k(0, z) + (2.0 / z) * bessel_k(1, z)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyqm import ExponentParams, LogCharacteristic, eta_relativistic
-from levyqm.densities import GridError, GridSpec
+from levyqm.densities import GridError, GridSpec, levy_density_1d
 from levyqm.evolution import (StabilityError, WaveFunction,
                               evolve_jump_quadrature, evolve_modified,
                               evolve_spectral, gaussian_packet, observables)
@@ -156,6 +156,43 @@ def test_jump_step_norm_drift():
     psi = gaussian_packet(0.0, 0.0, 1.0, packet_grid())
     jumped, _ = evolve_jump_quadrature(psi, 1e-4 * UNIT.tau, UNIT)
     assert abs(observables(jumped).norm - 1.0) < 1e-8
+
+
+def roll_sum_jump_step(psi, dt, params, cells):
+    # reference: the generator applied cell by cell with np.roll, from
+    # GL4 cell weights computed here, not taken from the module
+    dx = psi.grid.dx
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    j = np.arange(1, cells + 1)
+    w = 0.5 * dx * (levy_density_1d(j[:, None] * dx + 0.5 * dx * nodes,
+                                    params) @ weights)
+    core = 0.25 * dx * (nodes + 1.0)
+    s_core = 0.5 * dx * float((core ** 2 * levy_density_1d(core, params))
+                              @ weights)
+    v = psi.values
+    jump = np.zeros_like(v)
+    for k in range(1, cells + 1):
+        jump += w[k - 1] * (np.roll(v, -k) + np.roll(v, k) - 2.0 * v)
+    jump += 0.5 * s_core * (np.roll(v, -1) + np.roll(v, 1) - 2.0 * v) / dx ** 2
+    return 1j * (dt / params.tau) * jump
+
+
+@pytest.mark.parametrize("n, dx, cells", [(256, 0.1, 127), (2048, 0.05, 684)])
+def test_jump_step_matches_roll_sum(n, dx, cells):
+    # n = 256: the kernel radius is capped at n/2 - 1 cells, the wrap edge
+    grid = GridSpec(n=n, dx=dx)
+    psi = gaussian_packet(1.5, 3.0, 1.0, grid)
+    dt = 1e-4 * UNIT.tau
+    stepped, report = evolve_jump_quadrature(psi, dt, UNIT)
+    assert report.cells == cells
+    want = roll_sum_jump_step(psi, dt, UNIT, cells)
+    reference = psi.values + want
+    assert (np.max(np.abs(stepped.values - reference))
+            < 1e-12 * np.max(np.abs(reference)))
+    # the increment alone: storing psi + increment rounds it by
+    # eps |psi| / |increment| ~ 1e-12 of itself, hence the looser gate
+    got = stepped.values - psi.values
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
