@@ -33,7 +33,7 @@ from .exponents import (ExponentParams, LogCharacteristic,
 from .presets import PRESET_MASSES, PRESET_NAMES, REFERENCE_LAMBDAS
 from .propagators import (LOOP_VARIANTS, find_poles, loop_integral,
                           scan_propagator)
-from .sampler import SeededGenerator, ks_validate, sample_endpoints, sample_path
+from .sampler import SeededGenerator, ks_validate, sample_endpoints, sample_paths
 from .spectrum import (CutoffPolynomial, DegenerateRootError, MassTriple,
                        lambdas_from_masses, masses_from_lambdas)
 
@@ -367,16 +367,15 @@ def cmd_simulate(args) -> int:
 
     paths_file = None
     if args.full_paths:
-        pgen = SeededGenerator(seed=args.seed, stream=args.stream + 1)
-        rng = pgen.generator()
-        ids, times, xs = [], [], []
-        for pid in range(min(args.full_paths, args.paths)):
-            path = sample_path(args.t, args.steps, params, rng)
-            ids.extend([pid] * len(path.times))
-            times.extend(path.times)
-            xs.extend(path.positions)
+        n_full = min(args.full_paths, args.paths)
+        positions = sample_paths(
+            args.t, args.steps, params,
+            SeededGenerator(seed=args.seed, stream=args.stream + 1), n_full)
+        times = np.linspace(0.0, args.t, args.steps + 1)
         paths_file = out.with_name(out.stem + "_paths.csv")
-        write_csv(paths_file, ["path", "t", "x"], [ids, times, xs])
+        write_csv(paths_file, ["path", "t", "x"],
+                  [np.repeat(np.arange(n_full), args.steps + 1),
+                   np.tile(times, n_full), positions.ravel()])
 
     eta = LogCharacteristic.relativistic(params)
     grid = default_grid(params, args.t)

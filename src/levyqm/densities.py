@@ -207,7 +207,7 @@ def moments(table: DensityTable, k: int) -> float:
 def levy_density_1d(x, params: ExponentParams):
     """One-dimensional jump kernel K1(|x|/a) / (pi |x|); singular at 0."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr == 0.0):
+    if (x_arr == 0.0).any():
         raise ValueError("jump kernel is singular at x = 0")
     ax = np.abs(x_arr)
     out = bessel_k(1, ax / params.a) / (math.pi * ax)
@@ -217,7 +217,7 @@ def levy_density_1d(x, params: ExponentParams):
 def levy_density_3d(r, params: ExponentParams):
     """Three-dimensional radial jump kernel K2(r/a) / (2 a pi^2 r^2), r > 0."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
+    if (r_arr <= 0.0).any():
         raise ValueError("radial jump kernel requires r > 0")
     out = bessel_k(2, r_arr / params.a) / (2.0 * params.a * math.pi ** 2 * r_arr ** 2)
     return float(out) if np.ndim(r) == 0 else out

@@ -11,11 +11,25 @@ with O(1) cost per increment.
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream); distinct keys give non-overlapping sequences, and a
 fixed key reproduces byte-identical output on any platform.
+
+``sample_endpoints`` cuts the paths into tiles of TILE (the last one
+partial).  Tile b draws from the (seed, stream) Philox jumped b times,
+2^128 draws apart (Salmon et al., SC'11); tile 0 is that generator
+itself.  Inside a tile the steps run one after another, each drawing
+what ``sample_increment(dt, size=tile)`` draws, and are added in place
+into the tile's endpoints.  Memory is O(workers x TILE), not
+O(paths x steps), and since every tile sums its own paths in step order,
+the tiles can run on a thread pool (one worker per usable core) and the
+output bytes do not depend on the worker count.  TILE is part of this
+stream layout.  A plain numpy Generator is not jumped: its tiles draw
+from it in order, on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +38,7 @@ from .densities import DensityTable, GridError
 from .exponents import ExponentParams
 
 KS_ALPHA_001_COEFF = 1.63  # asymptotic one-sample KS quantile at alpha = 0.01
+TILE = 12288               # paths per tile of sample_endpoints: stream layout
 
 
 @dataclass(frozen=True)
@@ -81,25 +96,98 @@ class KSReport:
 
 
 # ---------------------------------------------------------------------------
+# Michael-Schucany-Haas kernel
+# ---------------------------------------------------------------------------
+
+def _clock_law(dt: float, params: ExponentParams):
+    """(mean, shape) of the inverse-Gaussian clock of a time-dt increment."""
+    ratio = dt / params.tau
+    return params.a ** 2 * ratio, params.a ** 2 * ratio ** 2
+
+
+def _workspace(dims):
+    """Scratch arrays (nu, u, z, root, tmp, keep) for draws of shape dims."""
+    return (*(np.empty(dims) for _ in range(5)), np.empty(dims, dtype=bool))
+
+
+def _inverse_gaussian(mean, shape, rng, ws):
+    """IG(mean, shape) draws by Michael-Schucany-Haas, of ws's shape.
+
+    One squared normal y and one uniform u per draw.  The smaller root
+    mean + mean^2 y/(2 shape) - (mean/(2 shape)) sqrt(4 mean shape y +
+    (mean y)^2) of the transformed quadratic is kept when u <= mean/(mean
+    + root), else mean^2/root.  The in-place steps below evaluate that
+    expression in its written order, so the bytes match the plain numpy
+    form; only the returned array is allocated.
+    """
+    nu, u, _, root, tmp, keep = ws
+    rng.standard_normal(out=nu)
+    rng.random(out=u)
+    y = np.multiply(nu, nu, out=nu)
+    np.multiply(y, mean, out=tmp)
+    np.square(tmp, out=tmp)
+    np.multiply(y, 4.0 * mean * shape, out=root)
+    np.add(root, tmp, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.multiply(tmp, mean / (2.0 * shape), out=tmp)
+    np.multiply(y, mean * mean, out=root)
+    np.divide(root, 2.0 * shape, out=root)
+    np.add(root, mean, out=root)
+    np.subtract(root, tmp, out=root)
+    np.add(root, mean, out=tmp)
+    np.divide(mean, tmp, out=tmp)
+    np.less_equal(u, tmp, out=keep)
+    np.divide(mean * mean, root, out=tmp)
+    return np.where(keep, root, tmp)
+
+
+def _increment_into(mean, shape, rng, out, ws):
+    """Increments sqrt(S) Z into out, drawing nu, u, then z, as listed."""
+    clock = _inverse_gaussian(mean, shape, rng, ws)
+    z = ws[2]
+    rng.standard_normal(out=z)
+    np.sqrt(clock, out=out)
+    return np.multiply(out, z, out=out)
+
+
+def _endpoint_tile(mean, shape, steps, rng, out):
+    """Sum of `steps` increments per path of one tile, added in step order."""
+    ws = _workspace(out.shape)
+    _increment_into(mean, shape, rng, out, ws)
+    inc = np.empty(out.shape)
+    for _ in range(steps - 1):
+        out += _increment_into(mean, shape, rng, inc, ws)
+    return out
+
+
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _check_run(T: float, steps: int, n_paths: int) -> None:
+    if T <= 0:
+        raise ValueError(f"horizon must be positive (got T = {T})")
+    if steps < 1:
+        raise ValueError(f"need at least one step (got steps = {steps}); "
+                         "pass steps >= 1")
+    if n_paths < 1:
+        raise ValueError(f"need at least one path (got {n_paths}); "
+                         "pass a path count >= 1")
+
+
+# ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 
 def sample_inverse_gaussian(mean: float, shape: float, g, size=None):
-    """Inverse-Gaussian draw(s) by the Michael-Schucany-Haas transform.
-
-    One squared normal plus one uniform per draw; the smaller root of
-    the transformed quadratic is kept with probability mean/(mean+root).
-    """
+    """Inverse-Gaussian draw(s) by the Michael-Schucany-Haas transform."""
     if mean <= 0 or shape <= 0:
         raise ValueError("inverse-Gaussian mean and shape must be positive")
-    rng = _as_generator(g)
-    nu = rng.standard_normal(size)
-    y = nu * nu
-    root = (mean + mean * mean * y / (2.0 * shape)
-            - (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
-                                               + (mean * y) ** 2))
-    u = rng.random(size)
-    out = np.where(u <= mean / (mean + root), root, mean * mean / root)
+    out = _inverse_gaussian(mean, shape, _as_generator(g),
+                            _workspace(() if size is None else size))
     return float(out) if size is None else out
 
 
@@ -107,21 +195,15 @@ def sample_increment(dt: float, params: ExponentParams, g, size=None):
     """Time-dt increment(s) of the relativistic pure-jump process."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rng = _as_generator(g)
-    ratio = dt / params.tau
-    clock = sample_inverse_gaussian(params.a ** 2 * ratio,
-                                    params.a ** 2 * ratio ** 2, rng, size)
-    z = rng.standard_normal(size)
-    out = np.sqrt(clock) * z
+    dims = () if size is None else size
+    out = _increment_into(*_clock_law(dt, params), _as_generator(g),
+                          np.empty(dims), _workspace(dims))
     return float(out) if size is None else out
 
 
 def sample_path(T: float, steps: int, params: ExponentParams, g) -> PathSample:
     """Cumulative sum of `steps` independent stationary increments."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_run(T, steps, 1)
     rng = _as_generator(g)
     incs = sample_increment(T / steps, params, rng, size=steps)
     positions = np.concatenate([[0.0], np.cumsum(incs)])
@@ -129,31 +211,66 @@ def sample_path(T: float, steps: int, params: ExponentParams, g) -> PathSample:
     return PathSample(times=times, positions=positions)
 
 
+def sample_paths(T: float, steps: int, params: ExponentParams, g,
+                 n_paths: int) -> np.ndarray:
+    """Positions of n_paths trajectories at times linspace(0, T, steps + 1).
+
+    Drawn step-major: step j draws what ``sample_increment(T / steps,
+    size=n_paths)`` would.  Returns the (n_paths, steps + 1) cumulative
+    array; column 0 is X(0) = 0.
+    """
+    _check_run(T, steps, n_paths)
+    rng = _as_generator(g)
+    mean, shape = _clock_law(T / steps, params)
+    positions = np.zeros((steps + 1, n_paths))
+    ws = _workspace(n_paths)
+    for j in range(1, steps + 1):
+        _increment_into(mean, shape, rng, positions[j], ws)
+        positions[j] += positions[j - 1]
+    return positions.T
+
+
 def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
                      steps: int = 1) -> np.ndarray:
-    """Endpoint draws X(T) for n_paths independent trajectories."""
-    rng = _as_generator(g)
-    if steps == 1:
-        return sample_increment(T, params, rng, size=n_paths)
-    incs = sample_increment(T / steps, params, rng, size=(n_paths, steps))
-    return incs.sum(axis=1)
+    """Endpoint draws X(T) for n_paths independent trajectories.
+
+    Paths are cut into tiles of TILE; each tile sums its `steps`
+    increments in step order in place.  For a SeededGenerator, tile b
+    draws from its Philox jumped b times, and from four tiles' worth of
+    increments on, the tiles run on a thread pool; a plain numpy
+    Generator feeds its tiles in order on one thread.
+    """
+    _check_run(T, steps, n_paths)
+    mean, shape = _clock_law(T / steps, params)
+    out = np.empty(n_paths)
+    tiles = [out[s:s + TILE] for s in range(0, n_paths, TILE)]
+    if isinstance(g, np.random.Generator):
+        rngs, workers = [g] * len(tiles), 1
+    else:
+        first = _as_generator(g)
+        rngs = [first] + [np.random.Generator(first.bit_generator.jumped(b))
+                          for b in range(1, len(tiles))]
+        # Below about four tiles of increments, starting the threads
+        # costs more than they save.
+        parallel = n_paths * steps >= 4 * TILE
+        workers = min(len(tiles), _worker_count()) if parallel else 1
+
+    def run(rng, tile):
+        return _endpoint_tile(mean, shape, steps, rng, tile)
+
+    if workers == 1:
+        for rng, tile in zip(rngs, tiles):
+            run(rng, tile)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(run, rngs, tiles):
+                pass
+    return out
 
 
 # ---------------------------------------------------------------------------
 # validation against a gridded density
 # ---------------------------------------------------------------------------
-
-def table_cdf(reference: DensityTable):
-    return reference.cdf_nodes()
-
-
-def sample_from_table(reference: DensityTable, n: int, g) -> np.ndarray:
-    """Inverse-CDF draws from a gridded density (test calibration aid)."""
-    rng = _as_generator(g)
-    x, cdf = reference.cdf_nodes()
-    u = rng.random(n)
-    return np.interp(u, cdf, x)
-
 
 def ks_validate(samples, reference: DensityTable) -> KSReport:
     """One-sample Kolmogorov-Smirnov test against a gridded density.

@@ -207,6 +207,17 @@ def test_simulate_full_paths(tmp_path):
     paths = read_csv_columns(tmp_path / "sim_paths.csv")
     assert set(paths["path"]) == {0.0, 1.0, 2.0}
     assert paths["x"][0] == 0.0
+    np.testing.assert_array_equal(paths["path"], np.repeat([0.0, 1.0, 2.0], 9))
+    np.testing.assert_array_equal(paths["t"], np.tile(np.linspace(0, 1, 9), 3))
+    assert not paths["x"][::9].any()
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--paths"])
+def test_simulate_rejects_zero_count(tmp_path, capsys, flag):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--mass", "1", flag, "0", "-o", str(out)]) == 2
+    assert "at least one" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

@@ -1,15 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levyqm import ExponentParams, LogCharacteristic, eta_relativistic
+from levyqm import ExponentParams, LogCharacteristic, eta_relativistic, sampler
 from levyqm.densities import GridError, default_grid, transition_density
-from levyqm.sampler import (KSReport, PathSample, SeededGenerator, ks_validate,
-                            sample_endpoints, sample_from_table,
-                            sample_increment, sample_inverse_gaussian,
-                            sample_path)
+from levyqm.sampler import (TILE, KSReport, PathSample, SeededGenerator,
+                            ks_validate, sample_endpoints, sample_increment,
+                            sample_inverse_gaussian, sample_path, sample_paths)
 
 UNIT = ExponentParams.from_mass(1.0)
 
@@ -43,6 +43,19 @@ def test_ig_domain():
         sample_inverse_gaussian(-1.0, 1.0, SeededGenerator(0))
     with pytest.raises(ValueError):
         sample_inverse_gaussian(1.0, 0.0, SeededGenerator(0))
+
+
+def test_ig_matches_plain_formula():
+    mean, shape, n = 0.7, 2.3, 1000
+    rng = SeededGenerator(4).generator()
+    nu, u = rng.standard_normal(n), rng.random(n)
+    y = nu * nu
+    root = (mean + mean * mean * y / (2.0 * shape)
+            - (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
+                                               + (mean * y) ** 2))
+    expected = np.where(u <= mean / (mean + root), root, mean * mean / root)
+    draws = sample_inverse_gaussian(mean, shape, SeededGenerator(4), size=n)
+    assert draws.tobytes() == expected.tobytes()
 
 
 def test_ig_scalar_draw():
@@ -136,8 +149,95 @@ def test_semigroup_at_sample_level():
 
 
 # ---------------------------------------------------------------------------
+# tiled endpoints
+# ---------------------------------------------------------------------------
+
+def summed_increments(dt, rng, n, steps):
+    """Endpoints as the step-ordered sum of `steps` sample_increment calls."""
+    total = sample_increment(dt, UNIT, rng, size=n)
+    for _ in range(steps - 1):
+        total += sample_increment(dt, UNIT, rng, size=n)
+    return total
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_single_tile_is_sum_of_increment_calls(steps):
+    n = TILE - 5
+    ends = sample_endpoints(1.5, UNIT, SeededGenerator(4, 9), n, steps=steps)
+    expected = summed_increments(1.5 / steps, SeededGenerator(4, 9).generator(),
+                                 n, steps)
+    assert ends.tobytes() == expected.tobytes()
+
+
+def test_tile_b_draws_from_philox_jumped_b_times():
+    seed, stream, steps = 6, 3, 3
+    n = 2 * TILE + 100
+    ends = sample_endpoints(0.9, UNIT, SeededGenerator(seed, stream), n,
+                            steps=steps)
+    philox = np.random.Philox(key=seed | (stream << 64))
+    for b, size in enumerate((TILE, TILE, 100)):
+        rng = np.random.Generator(philox.jumped(b))
+        expected = summed_increments(0.9 / steps, rng, size, steps)
+        assert ends[b * TILE:b * TILE + size].tobytes() == expected.tobytes()
+
+
+def test_output_does_not_depend_on_worker_count(monkeypatch):
+    args = (1.0, UNIT, SeededGenerator(8, 1), 3 * TILE + 17)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(sampler, "_worker_count", lambda w=workers: w)
+        runs[workers] = sample_endpoints(*args, steps=4).tobytes()
+    assert runs[1] == runs[2]
+
+
+def test_plain_generator_tiles_draw_in_order():
+    n, steps = TILE + 50, 2
+    ends = sample_endpoints(1.0, UNIT, SeededGenerator(2).generator(), n, steps)
+    rng = SeededGenerator(2).generator()
+    expected = np.concatenate([summed_increments(0.5, rng, TILE, steps),
+                               summed_increments(0.5, rng, 50, steps)])
+    assert ends.tobytes() == expected.tobytes()
+
+
+def test_endpoint_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        sample_endpoints(1.0, UNIT, SeededGenerator(0), 10 ** 5, steps=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("kwargs", [{"steps": 0}, {"n_paths": 0},
+                                    {"T": 0.0}])
+def test_endpoint_arguments_are_validated(kwargs):
+    args = {"T": 1.0, "params": UNIT, "g": SeededGenerator(0), "n_paths": 10,
+            "steps": 1, **kwargs}
+    with pytest.raises(ValueError):
+        sample_endpoints(**args)
+
+
+def test_sample_paths_is_step_major_cumulative_sum():
+    steps, n = 5, 4
+    pos = sample_paths(2.0, steps, UNIT, SeededGenerator(12), n)
+    assert pos.shape == (n, steps + 1)
+    assert not pos[:, 0].any()
+    rng = SeededGenerator(12).generator()
+    incs = [sample_increment(2.0 / steps, UNIT, rng, size=n) for _ in range(steps)]
+    expected = np.cumsum(np.column_stack([np.zeros(n)] + incs), axis=1)
+    np.testing.assert_array_equal(pos, expected)
+
+
+# ---------------------------------------------------------------------------
 # KS validation
 # ---------------------------------------------------------------------------
+
+def sample_from_table(reference, n: int, g) -> np.ndarray:
+    """Inverse-CDF draws from a gridded density (test calibration aid)."""
+    x, cdf = reference.cdf_nodes()
+    return np.interp(g.generator().random(n), cdf, x)
+
 
 def test_ks_validation_primary(reference_table):
     samples = sample_endpoints(1.0, UNIT, SeededGenerator(42), 10 ** 5)
