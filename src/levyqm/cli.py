@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: exponent, spectrum fit|solve, density, levy-measure,
-evolve, propagator, loop, simulate, reproduce-tables.  Every run writes
-its results atomically (temp file + rename) together with a JSON
-provenance record of the fully resolved parameters; numbers in CSV
-carry 17 significant digits so files diff exactly at double precision.
+evolve, propagator, loop, simulate, reproduce-tables.  Every run goes
+through ``emit``, which writes its results atomically (temp file +
+rename) together with a JSON provenance record.  The record's parameters
+are every parsed argument plus the values resolved from them (a preset's
+mass and coefficients, the density grid, the loop cutoffs), so a new
+flag is recorded without further code.  Numbers in CSV carry 17
+significant digits so files diff exactly at double precision.
 
 Exit codes: 0 success, 2 domain errors, 3 degenerate spectrum, 4 I/O.
 """
@@ -12,13 +15,13 @@ Exit codes: 0 success, 2 domain errors, 3 degenerate spectrum, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +34,12 @@ from .evolution import (evolve_modified, evolve_spectral, gaussian_packet,
 from .exponents import (ExponentParams, LogCharacteristic,
                         eta_modified_branch, eta_relativistic)
 from .presets import PRESET_MASSES, PRESET_NAMES, REFERENCE_LAMBDAS
-from .propagators import (LOOP_VARIANTS, find_poles, loop_integral,
-                          scan_propagator)
+from .propagators import (LOOP_VARIANTS, find_poles, kg_propagator,
+                          loop_integral)
 from .sampler import SeededGenerator, ks_validate, sample_endpoints, sample_paths
 from .spectrum import (CutoffPolynomial, DegenerateRootError, MassTriple,
-                       lambdas_from_masses, masses_from_lambdas)
+                       lambdas_from_masses, masses_from_lambdas,
+                       resolve_base_mass)
 
 OUTPUT_DIR_ENV = "LEVYQM_OUTPUT_DIR"
 
@@ -44,27 +48,13 @@ EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
-
-@dataclass
-class RunConfig:
-    """Resolved output policy of one CLI run."""
-
-    output: Path
-    seed: int | None = None
-    digits: int = 17
+# namespace entries that route the run rather than parameterize it
+_NOT_PARAMETERS = ("func", "output", "command", "spectrum_command")
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-
-def run_config(args, default_name: str, seed=None) -> RunConfig:
-    if getattr(args, "output", None):
-        out = Path(args.output)
-    else:
-        out = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
-    return RunConfig(output=out, seed=seed)
-
 
 def _atomic_write(path: Path, text: str) -> None:
     path = Path(path)
@@ -80,15 +70,12 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(value, digits: int) -> str:
-    return format(float(value), f".{digits}g")
-
-
-def write_csv(path: Path, header, columns, digits: int = 17) -> None:
-    columns = [np.asarray(col) for col in columns]
+def write_csv(path: Path, header, columns) -> None:
+    # "%.17g" % v is format(float(v), ".17g"), nan/inf/-0 included
+    row = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v, digits) for v in row))
+    lines += [row % tuple(values)
+              for values in np.column_stack(columns).tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -96,19 +83,44 @@ def write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def provenance(subcommand: str, params: dict, seed=None) -> dict:
-    return {
+def _subcommand(args) -> str:
+    return f"{args.command} {getattr(args, 'spectrum_command', '')}".strip()
+
+
+def _output_path(args, suffix: str) -> Path:
+    """-o, else the output directory plus a name from the subcommand."""
+    if args.output:
+        return Path(args.output)
+    name = _subcommand(args).replace(" ", "_").replace("-", "_") + suffix
+    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / name
+
+
+def emit(args, record: dict, columns: dict | None = None,
+         resolved: dict | None = None) -> Path:
+    """Write one run's results and provenance; return the output path.
+
+    With ``columns`` (header -> values) the CSV goes to the output path
+    and ``record`` to a ``.meta.json`` beside it; without, ``record`` is
+    the JSON output itself.  The provenance parameters are every parsed
+    argument, overlaid with the values the command ``resolved`` from them.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    params.update(resolved or {})
+    payload = {**record, "provenance": {
         "tool": "levyqm",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": _subcommand(args),
         "parameters": params,
-        "seed": seed,
+        "seed": params.get("seed"),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-
-
-def _meta_path(path: Path) -> Path:
-    return path.with_suffix(path.suffix + ".meta.json")
+    }}
+    out = _output_path(args, ".csv" if columns else ".json")
+    if columns:
+        write_csv(out, list(columns), list(columns.values()))
+        write_json(out.with_suffix(out.suffix + ".meta.json"), payload)
+    else:
+        write_json(out, payload)
+    return out
 
 
 def _parse_floats(text: str, n=None):
@@ -120,17 +132,17 @@ def _parse_floats(text: str, n=None):
 
 def _cutoff_from_args(args) -> tuple[CutoffPolynomial, float]:
     """(coefficients, base mass) from --preset or --lambdas/--masses."""
-    if getattr(args, "preset", None):
+    if args.preset:
         masses = MassTriple.from_values(PRESET_MASSES[args.preset])
         return lambdas_from_masses(masses), masses.m1
-    if getattr(args, "lambdas", None):
+    if args.lambdas:
         if args.mass is None:
             raise ValueError("--lambdas requires --mass")
         return CutoffPolynomial(*_parse_floats(args.lambdas, 3)), args.mass
-    if getattr(args, "masses", None):
+    if args.masses:
         masses = MassTriple.from_values(_parse_floats(args.masses, 3))
-        base = masses.m1 if args.base == "lightest" else float(args.base)
-        return lambdas_from_masses(masses, base=args.base), base
+        return (lambdas_from_masses(masses, base=args.base),
+                resolve_base_mass(masses, args.base))
     raise ValueError("supply --preset, --lambdas or --masses")
 
 
@@ -145,15 +157,8 @@ def cmd_exponent(args) -> int:
         eta = eta_modified_branch(u, params, args.root_x)
     else:
         eta = eta_relativistic(u, params)
-    cfg = run_config(args, "exponent.csv")
-    out = cfg.output
-    write_csv(out, ["u", "eta"], [u, eta], cfg.digits)
-    write_json(_meta_path(out), {
-        "provenance": provenance("exponent", {
-            "mass": args.mass, "u_max": args.u_max, "points": args.points,
-            "root_x": args.root_x}),
-        "summary": {"eta_min": float(np.min(eta))},
-    })
+    out = emit(args, {"summary": {"eta_min": float(np.min(eta))}},
+               {"u": u, "eta": eta})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -161,17 +166,10 @@ def cmd_exponent(args) -> int:
 def cmd_spectrum_fit(args) -> int:
     masses = MassTriple.from_values(_parse_floats(args.masses, 3))
     c = lambdas_from_masses(masses, base=args.base)
-    base = masses.m1 if args.base == "lightest" else float(args.base)
-    solution = masses_from_lambdas(c, base)
-    payload = {
-        "lambdas": list(c.as_tuple()),
-        **solution.to_dict(),
-        "provenance": provenance("spectrum fit", {
-            "masses": list(masses.as_tuple()), "base": args.base}),
-    }
-    out = run_config(args, "spectrum_fit.json").output
-    write_json(out, payload)
-    print(json.dumps({"lambdas": payload["lambdas"],
+    solution = masses_from_lambdas(c, resolve_base_mass(masses, args.base))
+    record = {"lambdas": list(c.as_tuple()), **solution.to_dict()}
+    emit(args, record, resolved={"masses": list(masses.as_tuple())})
+    print(json.dumps({"lambdas": record["lambdas"],
                       "degenerate": solution.degenerate}))
     if solution.degenerate:
         print("degenerate spectrum: multiple root, residues undefined",
@@ -183,15 +181,9 @@ def cmd_spectrum_fit(args) -> int:
 def cmd_spectrum_solve(args) -> int:
     c = CutoffPolynomial(*_parse_floats(args.lambdas, 3))
     solution = masses_from_lambdas(c, args.mass)
-    payload = {
-        "lambdas": list(c.as_tuple()),
-        **solution.to_dict(),
-        "provenance": provenance("spectrum solve", {
-            "lambdas": list(c.as_tuple()), "mass": args.mass}),
-    }
-    out = run_config(args, "spectrum_solve.json").output
-    write_json(out, payload)
-    print(json.dumps({"roots": payload["roots"], "masses": payload["masses"],
+    record = {"lambdas": list(c.as_tuple()), **solution.to_dict()}
+    emit(args, record, resolved={"lambdas": record["lambdas"]})
+    print(json.dumps({"roots": record["roots"], "masses": record["masses"],
                       "degenerate": solution.degenerate}))
     return EXIT_DEGENERATE if solution.degenerate else EXIT_OK
 
@@ -204,18 +196,14 @@ def cmd_density(args) -> int:
     else:
         grid = default_grid(params, args.dt, n=args.n)
     table = transition_density(args.dt, params, eta, grid)
-    cfg = run_config(args, "density.csv")
-    out = cfg.output
-    write_csv(out, ["x", "value"], [grid.x_centers(), table.values], cfg.digits)
-    write_json(_meta_path(out), {
-        "provenance": provenance("density", {
-            "mass": args.mass, "dt": args.dt, "n": grid.n, "dx": grid.dx}),
+    out = emit(args, {
         "grid": {"n": grid.n, "dx": grid.dx, "du": grid.du, "u_max": grid.u_max},
         "diagnostics": {"clipped_mass": table.clipped_mass,
                         "max_imag": table.max_imag},
         "summary": {"normalization": table.normalization(),
                     "variance": moments(table, 2)},
-    })
+    }, {"x": grid.x_centers(), "value": table.values},
+        resolved={"n": grid.n, "dx": grid.dx})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -230,17 +218,9 @@ def cmd_levy_measure(args) -> int:
         values = levy_density_1d(x, params)
     else:
         values = levy_density_3d(x, params)
-    cfg = run_config(args, "levy_measure.csv")
-    out = cfg.output
-    write_csv(out, ["x", "value"], [x, values], cfg.digits)
-    write_json(_meta_path(out), {
-        "provenance": provenance("levy-measure", {
-            "mass": args.mass, "dim": args.dim, "x_min": args.x_min,
-            "x_max": args.x_max, "points": args.points,
-            "log_spacing": args.log_spacing}),
-        "summary": {"value_at_first": float(values[0]),
-                    "value_at_last": float(values[-1])},
-    })
+    out = emit(args, {"summary": {"value_at_first": float(values[0]),
+                                  "value_at_last": float(values[-1])}},
+               {"x": x, "value": values})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -250,7 +230,6 @@ def cmd_evolve(args) -> int:
     grid = GridSpec(n=args.n, dx=args.dx)
     psi = gaussian_packet(args.x0, args.p0, args.sigma, grid)
 
-    branch_solution = None
     if args.branch is not None:
         c, base = _cutoff_from_args(args)
         base_params = ExponentParams.from_mass(base)
@@ -263,8 +242,7 @@ def cmd_evolve(args) -> int:
 
     rows = []
     snapshots = []
-    cfg = run_config(args, "evolve.csv")
-    out = cfg.output
+    out = _output_path(args, ".csv")
     for step in range(args.steps + 1):
         obs = observables(psi)
         rows.append((step * args.dt, obs.norm, obs.centroid, obs.variance,
@@ -277,18 +255,12 @@ def cmd_evolve(args) -> int:
         if step < args.steps:
             psi = stepper(psi)
 
-    cols = list(zip(*rows))
-    write_csv(out, ["t", "norm", "centroid", "variance", "momentum_centroid"],
-              cols)
-    write_json(_meta_path(out), {
-        "provenance": provenance("evolve", {
-            "mass": args.mass, "x0": args.x0, "p0": args.p0,
-            "sigma": args.sigma, "dt": args.dt, "steps": args.steps,
-            "n": args.n, "dx": args.dx, "branch": args.branch}),
+    header = ("t", "norm", "centroid", "variance", "momentum_centroid")
+    emit(args, {
         "snapshots": snapshots,
         "summary": {"final_norm": rows[-1][1], "final_centroid": rows[-1][2],
                     "final_variance": rows[-1][3]},
-    })
+    }, dict(zip(header, zip(*rows))))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -297,30 +269,14 @@ def cmd_propagator(args) -> int:
     c, mass = _cutoff_from_args(args)
     eps = args.eps if args.eps is not None else 1e-9 * mass ** 2
     p2 = np.linspace(args.p2_min, args.p2_max, args.points)
-    points = scan_propagator(p2, mass, c, eps)
-    values = np.array([pt.value for pt in points])
-    cfg = run_config(args, "propagator.csv")
-    out = cfg.output
-    write_csv(out, ["p2", "re", "im", "abs"],
-              [p2, values.real, values.imag, np.abs(values)], cfg.digits)
-
+    values = kg_propagator(p2, mass, c, eps)
     solution, fits = find_poles(mass, c, verify=False)
-    write_json(_meta_path(out), {
-        "provenance": provenance("propagator", {
-            "mass": mass, "lambdas": list(c.as_tuple()), "eps": eps,
-            "p2_min": args.p2_min, "p2_max": args.p2_max,
-            "points": args.points}),
+    out = emit(args, {
         "poles": solution.to_dict(),
-        "pole_fits": [{
-            "root": f.root, "p2_pole": f.p2_pole,
-            "fitted_residue": f.fitted_residue,
-            "algebraic_residue": f.algebraic_residue,
-            "residue_mismatch": f.residue_mismatch,
-            "fit_residual": f.fit_residual,
-            "residue_x": f.residue_x,
-        } for f in fits],
+        "pole_fits": [dataclasses.asdict(f) for f in fits],
         "summary": {"max_abs": float(np.max(np.abs(values)))},
-    })
+    }, {"p2": p2, "re": values.real, "im": values.imag, "abs": np.abs(values)},
+        resolved={"mass": mass, "lambdas": list(c.as_tuple()), "eps": eps})
     print(f"wrote {out}")
     return EXIT_DEGENERATE if solution.degenerate else EXIT_OK
 
@@ -339,19 +295,12 @@ def cmd_loop(args) -> int:
     else:
         variants = (f"unmodified-{args.variant}", f"modified-{args.variant}")
     result = loop_integral(pe, mass, c, cutoffs, variants=variants)
-
-    cfg = run_config(args, "loop.csv")
-    out = cfg.output
-    header = ["cutoff"] + [v.replace("-", "_") for v in variants]
-    write_csv(out, header,
-              [result.cutoffs] + [result.values[v] for v in variants],
-              cfg.digits)
-    write_json(_meta_path(out), {
-        "provenance": provenance("loop", {
-            "mass": mass, "lambdas": list(c.as_tuple()), "pe": pe,
-            "cutoffs": result.cutoffs.tolist(), "variant": args.variant}),
-        "tail_fits": {v: result.tail_fits[v].to_dict() for v in variants},
-    })
+    out = emit(args, {"tail_fits": {v: result.tail_fits[v].to_dict()
+                                    for v in variants}},
+               {"cutoff": result.cutoffs,
+                **{v.replace("-", "_"): result.values[v] for v in variants}},
+               resolved={"mass": mass, "lambdas": list(c.as_tuple()), "pe": pe,
+                         "cutoffs": result.cutoffs.tolist()})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -361,9 +310,6 @@ def cmd_simulate(args) -> int:
     gen = SeededGenerator(seed=args.seed, stream=args.stream)
     endpoints = sample_endpoints(args.t, params, gen, args.paths,
                                  steps=args.steps)
-    cfg = run_config(args, "simulate.csv", seed=args.seed)
-    out = cfg.output
-    write_csv(out, ["endpoint"], [endpoints], cfg.digits)
 
     paths_file = None
     if args.full_paths:
@@ -372,6 +318,7 @@ def cmd_simulate(args) -> int:
             args.t, args.steps, params,
             SeededGenerator(seed=args.seed, stream=args.stream + 1), n_full)
         times = np.linspace(0.0, args.t, args.steps + 1)
+        out = _output_path(args, ".csv")
         paths_file = out.with_name(out.stem + "_paths.csv")
         write_csv(paths_file, ["path", "t", "x"],
                   [np.repeat(np.arange(n_full), args.steps + 1),
@@ -382,16 +329,12 @@ def cmd_simulate(args) -> int:
     reference = transition_density(args.t, params, eta, grid)
     report = ks_validate(endpoints, reference)
 
-    write_json(_meta_path(out), {
-        "provenance": provenance("simulate", {
-            "mass": args.mass, "t": args.t, "steps": args.steps,
-            "paths": args.paths, "stream": args.stream,
-            "full_paths": args.full_paths}, seed=cfg.seed),
-        "validation": {**report.to_dict(), "seed": cfg.seed},
+    emit(args, {
+        "validation": {**report.to_dict(), "seed": args.seed},
         "paths_file": str(paths_file) if paths_file else None,
         "summary": {"mean": float(endpoints.mean()),
                     "variance": float(endpoints.var())},
-    })
+    }, {"endpoint": endpoints})
     print(json.dumps({"n": report.n, "d": report.d,
                       "threshold": report.threshold, "pass": report.passed}))
     return EXIT_OK
@@ -399,7 +342,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce_tables(args) -> int:
     rows = []
-    all_pass = True
     for name in PRESET_NAMES:
         masses = MassTriple.from_values(PRESET_MASSES[name])
         c = lambdas_from_masses(masses)
@@ -407,7 +349,6 @@ def cmd_reproduce_tables(args) -> int:
         rel = [abs(got / ref - 1.0)
                for got, ref in zip(c.as_tuple(), reference)]
         ok = max(rel) < 5e-3
-        all_pass &= ok
         rows.append({
             "preset": name,
             "masses": list(masses.as_tuple()),
@@ -417,15 +358,10 @@ def cmd_reproduce_tables(args) -> int:
             "pass": ok,
         })
         print(f"{name}: {'pass' if ok else 'FAIL'} (max rel err {max(rel):.2e})")
-    out = run_config(args, "reproduce_tables.json").output
-    write_json(out, {
-        "rows": rows,
-        "passed": sum(r["pass"] for r in rows),
-        "total": len(rows),
-        "provenance": provenance("reproduce-tables", {}),
-    })
-    print(f"{sum(r['pass'] for r in rows)}/{len(rows)} rows pass; wrote {out}")
-    return EXIT_OK if all_pass else 1
+    passed = sum(r["pass"] for r in rows)
+    out = emit(args, {"rows": rows, "passed": passed, "total": len(rows)})
+    print(f"{passed}/{len(rows)} rows pass; wrote {out}")
+    return EXIT_OK if passed == len(rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,48 +385,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Levy-process relativistic quantum dynamics laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # -o is declared once; without it emit() names the output after the
+    # subcommand, in LEVYQM_OUTPUT_DIR or the current directory
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
 
-    p = sub.add_parser("exponent", help="tabulate a log-characteristic")
+    def command(subparsers, func, name, help):
+        p = subparsers.add_parser(name, parents=[output], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(sub, cmd_exponent, "exponent", "tabulate a log-characteristic")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--u-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--root-x", type=float, default=None,
                    help="evaluate the branch exponent of this spectrum root")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("spectrum", help="cutoff-spectrum algebra")
     spectrum_sub = p.add_subparsers(dest="spectrum_command", required=True)
-    pf = spectrum_sub.add_parser("fit", help="coefficients from three masses")
-    pf.add_argument("--masses", required=True, help="m1,m2,m3 in GeV")
-    pf.add_argument("--base", default="lightest")
-    pf.add_argument("-o", "--output")
-    pf.set_defaults(func=cmd_spectrum_fit)
-    ps = spectrum_sub.add_parser("solve", help="spectrum from coefficients")
-    ps.add_argument("--lambdas", required=True, help="l1,l2,l3")
-    ps.add_argument("--mass", type=float, required=True)
-    ps.add_argument("-o", "--output")
-    ps.set_defaults(func=cmd_spectrum_solve)
+    p = command(spectrum_sub, cmd_spectrum_fit, "fit",
+                "coefficients from three masses")
+    p.add_argument("--masses", required=True, help="m1,m2,m3 in GeV")
+    p.add_argument("--base", default="lightest")
+    p = command(spectrum_sub, cmd_spectrum_solve, "solve",
+                "spectrum from coefficients")
+    p.add_argument("--lambdas", required=True, help="l1,l2,l3")
+    p.add_argument("--mass", type=float, required=True)
 
-    p = sub.add_parser("density", help="transition density by FFT inversion")
+    p = command(sub, cmd_density, "density",
+                "transition density by FFT inversion")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--n", type=int, default=2 ** 14)
     p.add_argument("--dx", type=float, default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("levy-measure", help="tabulate a jump kernel")
+    p = command(sub, cmd_levy_measure, "levy-measure", "tabulate a jump kernel")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--dim", type=int, choices=(1, 3), default=1)
     p.add_argument("--x-min", type=float, default=1e-3)
     p.add_argument("--x-max", type=float, default=20.0)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--log-spacing", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_levy_measure)
 
-    p = sub.add_parser("evolve", help="spectral wave-packet evolution")
+    p = command(sub, cmd_evolve, "evolve", "spectral wave-packet evolution")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--p0", type=float, default=0.0)
@@ -503,19 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evolve on this spectrum branch (needs a cutoff source)")
     p.add_argument("--snapshot-every", type=int, default=0)
     _add_cutoff_source(p, with_base=False, with_mass=False)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_evolve, base="lightest")
+    p.set_defaults(base="lightest")
 
-    p = sub.add_parser("propagator", help="scalar propagator scan and poles")
+    p = command(sub, cmd_propagator, "propagator",
+                "scalar propagator scan and poles")
     _add_cutoff_source(p)
     p.add_argument("--p2-min", type=float, default=0.0)
     p.add_argument("--p2-max", type=float, default=4.0)
     p.add_argument("--points", type=int, default=2048)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_propagator)
 
-    p = sub.add_parser("loop", help="cutoff sweep of the self-energy proxy")
+    p = command(sub, cmd_loop, "loop", "cutoff sweep of the self-energy proxy")
     _add_cutoff_source(p)
     p.add_argument("--variant", choices=("scalar", "mass", "all"),
                    default="scalar")
@@ -523,10 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external Euclidean momentum (default: base mass)")
     p.add_argument("--cutoffs", help="comma-separated cutoff list in GeV")
     p.add_argument("--octaves", type=int, default=8)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_loop)
 
-    p = sub.add_parser("simulate", help="sample the pure-jump process")
+    p = command(sub, cmd_simulate, "simulate", "sample the pure-jump process")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1)
@@ -535,14 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--full-paths", type=int, default=0,
                    help="also write this many full trajectories")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reproduce-tables",
-                       help="recompute the bundled coefficient tables")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_reproduce_tables)
-
+    command(sub, cmd_reproduce_tables, "reproduce-tables",
+            "recompute the bundled coefficient tables")
     return parser
 
 

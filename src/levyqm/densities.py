@@ -225,6 +225,5 @@ def levy_density_3d(r, params: ExponentParams):
 
 def relativistic_triplet(params: ExponentParams) -> LevyTriplet:
     """Generating triplet of the relativistic pure-jump process."""
-    return LevyTriplet(gamma=0.0, beta2=0.0,
-                       jump_density=lambda x: levy_density_1d(x, params),
-                       integrable_tail=True, scale=params.a)
+    return LevyTriplet(jump_density=lambda x: levy_density_1d(x, params),
+                       scale=params.a)

@@ -107,20 +107,16 @@ class ExponentParams:
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """Generating triplet (drift, Gaussian coefficient, jump density).
+    """Generating triplet of a centered symmetric law (zero drift).
 
-    The jump density W must be even and nonnegative; ``integrable_tail``
-    is the caller's certificate that int (x^2 ^ 1) W(x) dx is finite.
-    The drift gamma and the compensation indicator of the asymmetric
-    representation are carried as metadata only: every computation here
-    is for the centered symmetric case.  ``scale`` is a characteristic
+    The jump density W must be even and nonnegative, with
+    int (x^2 ^ 1) W(x) dx finite; ``eta_from_triplet`` raises
+    TailDivergenceError when it is not.  ``scale`` is a characteristic
     jump length used to place quadrature panel boundaries.
     """
 
-    gamma: float = 0.0
     beta2: float = 0.0
     jump_density: Callable[[float], float] = None
-    integrable_tail: bool = True
     scale: float = 1.0
 
     def __post_init__(self):
@@ -152,19 +148,17 @@ class QuadratureSpec:
 class LogCharacteristic:
     """A log-characteristic u -> eta(u), real-valued (symmetric case).
 
-    ``params`` records where the exponent came from (ExponentParams,
-    LevyTriplet, ...); ``eval`` does the work and accepts arrays.
+    ``eval`` does the work and accepts arrays.
     """
 
     eval: Callable
-    params: object = None
 
     def __call__(self, u):
         return self.eval(u)
 
     @classmethod
     def relativistic(cls, params: ExponentParams) -> "LogCharacteristic":
-        return cls(eval=lambda u: eta_relativistic(u, params), params=params)
+        return cls(eval=lambda u: eta_relativistic(u, params))
 
     @classmethod
     def from_triplet(cls, triplet: LevyTriplet,
@@ -173,12 +167,11 @@ class LogCharacteristic:
             u_arr = np.atleast_1d(np.asarray(u, dtype=float))
             vals = np.array([eta_from_triplet(ui, triplet, quadrature) for ui in u_arr])
             return float(vals[0]) if np.ndim(u) == 0 else vals.reshape(np.shape(u))
-        return cls(eval=_eval, params=triplet)
+        return cls(eval=_eval)
 
     @classmethod
     def modified_branch(cls, base: ExponentParams, root_x: float) -> "LogCharacteristic":
-        return cls(eval=lambda u: eta_modified_branch(u, base, root_x),
-                   params=(base, root_x))
+        return cls(eval=lambda u: eta_modified_branch(u, base, root_x))
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,6 @@ class NonpositiveDenominatorError(ValueError):
 
 
 @dataclass(frozen=True)
-class PropagatorPoint:
-    p2: float
-    value: complex
-
-
-@dataclass(frozen=True)
 class DiracScalarized:
     """Invariant coefficients of the rationalized spinor propagator.
 
@@ -144,14 +138,6 @@ def kg_propagator(p2, m: float, c: CutoffPolynomial, eps: float):
     denom = p2_arr - m ** 2 * (1.0 + f_eval(x, c)) + 1j * eps
     out = 1.0 / denom
     return complex(out) if np.ndim(p2) == 0 else out
-
-
-def scan_propagator(p2_values, m: float, c: CutoffPolynomial,
-                    eps: float) -> tuple:
-    """Pointwise scan of the scalar propagator over a p^2 grid."""
-    values = kg_propagator(np.asarray(p2_values, dtype=float), m, c, eps)
-    return tuple(PropagatorPoint(p2=float(p2), value=complex(v))
-                 for p2, v in zip(p2_values, values))
 
 
 def dirac_propagator_scalarized(p2, m: float, c: CutoffPolynomial,

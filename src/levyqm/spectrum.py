@@ -12,11 +12,15 @@ inverse map from three roots to the coefficients is closed form
 
     l1 = 1 - sum 1/x_i,   l2 = sum_{i<j} 1/(x_i x_j),   l3 = -1/(x1 x2 x3).
 
-The forward solve uses the closed-form cubic on a magnitude-rescaled
-variable followed by Newton polishing of g(x) - 1 in the original
-variable; the rescaling matters because realistic coefficient sets span
-l3 ~ 1e-16 against roots ~ 1e10, where the raw closed form loses most
-of its digits to cancellation.
+The forward solve takes one root from the closed-form cubic on a
+magnitude-rescaled variable and the other two from the quadratic left by
+deflation, then polishes each by Newton's method on g(x) - 1 in the
+original variable, with the residual evaluated exactly.  The rescaling
+matters because realistic coefficient sets span l3 ~ 1e-16 against
+roots ~ 1e10, where the raw closed form loses most of its digits to
+cancellation; the deflation and the exact residual matter for nearly
+coincident roots, which the closed form merges or displaces and plain
+Newton cannot resolve.
 """
 
 from __future__ import annotations
@@ -175,27 +179,46 @@ def _warn_near_coincident(roots):
                     NearDegenerateRootsWarning, stacklevel=3)
 
 
-def _newton_polish(x: float, c: CutoffPolynomial, iters: int = 12) -> float:
+def _residual(x: float, c: CutoffPolynomial) -> float:
+    """g(x) - 1 exactly, rounded once.
+
+    Every double is an integer over a power of two, so the sum is exact
+    in integers.  Plain evaluation stalls Newton wherever the rounding of
+    the residual exceeds the distance to the root, which for nearly
+    coincident roots is far above the root's own rounding.
+    """
+    xn, xd = x.as_integer_ratio()
+    num, den = xn - xd, xd
+    for k, coef in enumerate(c.as_tuple(), start=1):
+        cn, cd = coef.as_integer_ratio()
+        tn, td = cn * xn ** k, cd * xd ** k
+        if td > den:
+            num, den = num * (td // den) - tn, td
+        else:
+            num -= tn * (den // td)
+    return num / den
+
+
+def _newton_polish(x: float, c: CutoffPolynomial, iters: int = 40) -> float:
     for _ in range(iters):
-        f = g_eval(x, c) - 1.0
         df = g_prime(x, c)
         if df == 0.0:
             break
-        step = f / df
+        step = _residual(x, c) / df
         limit = 0.5 * abs(x) + 1.0
         step = max(-limit, min(limit, step))
         x -= step
-        if abs(step) <= 4.0 * np.finfo(float).eps * max(1.0, abs(x)):
+        if abs(step) <= np.finfo(float).eps * abs(x):
             break
     return x
 
 
 def _solve_cubic_scaled(c: CutoffPolynomial):
-    """Real roots of l3 x^3 + l2 x^2 + (l1-1) x + 1 = 0 plus diagnostics.
+    """Real roots of l3 x^3 + l2 x^2 + (l1-1) x + 1 = 0, closed form.
 
-    Returns (roots, discriminant, n_complex).  The discriminant is the
-    depressed-cubic invariant -4p^3 - 27q^2 of the rescaled monic
-    polynomial: same sign as the true discriminant, tame magnitude.
+    The sign of the depressed-cubic invariant -4p^3 - 27q^2 of the
+    rescaled monic polynomial picks the formula; near-coincident roots
+    can give it the wrong sign.
     """
     l1, l2, l3 = c.lambda1, c.lambda2, c.lambda3
     s = abs(l3) ** (1.0 / 3.0)
@@ -215,14 +238,12 @@ def _solve_cubic_scaled(c: CutoffPolynomial):
         arg = max(-1.0, min(1.0, arg))
         theta = math.acos(arg)
         ts = [r * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-        n_complex = 0
     elif disc == 0.0:
         # multiple real roots: triple at 0 when p = 0, else double + simple
         if p == 0.0:
             ts = [0.0, 0.0, 0.0]
         else:
             ts = [3.0 * q / p, -1.5 * q / p, -1.5 * q / p]
-        n_complex = 0
     else:
         # one real root; Cardano with the larger-magnitude cube root to
         # dodge cancellation
@@ -233,10 +254,8 @@ def _solve_cubic_scaled(c: CutoffPolynomial):
             u = _cbrt(-0.5 * q + rad)
         v = 0.0 if u == 0.0 else -p / (3.0 * u)
         ts = [u + v]
-        n_complex = 2
 
-    roots = [(t - b_coef / 3.0) / s for t in ts]
-    return roots, disc, n_complex
+    return [(t - b_coef / 3.0) / s for t in ts]
 
 
 def _cbrt(x: float) -> float:
@@ -244,7 +263,7 @@ def _cbrt(x: float) -> float:
 
 
 def roots_from_lambdas(c: CutoffPolynomial) -> SpectrumSolution:
-    """Real solutions of g(x) = 1, closed form plus Newton polishing.
+    """Real solutions of g(x) = 1: closed form, deflation, Newton polishing.
 
     Complex-conjugate pairs are reported as absent (``n_complex``) with
     the discriminant attached; a vanished leading coefficient reduces
@@ -270,13 +289,27 @@ def roots_from_lambdas(c: CutoffPolynomial) -> SpectrumSolution:
         roots = [_newton_polish(x, c) for x in roots]
         return _solution_from_roots(roots, c, discriminant=disc, n_complex=0)
 
-    raw, disc, n_complex = _solve_cubic_scaled(c)
-    polished = []
-    for x in raw:
-        if abs(g_prime(x, c)) > DEGENERATE_GPRIME:
-            x = _newton_polish(x, c)
-        polished.append(x)
-    return _solution_from_roots(polished, c, discriminant=disc, n_complex=n_complex)
+    # One root from the closed form, the best-conditioned one; the other
+    # two from the quadratic left by dividing it out.  Near-coincident
+    # roots, which the closed form merges or displaces, stay apart there.
+    raw = _solve_cubic_scaled(c)
+    r = _newton_polish(max(raw, key=lambda x: abs(g_prime(x, c) * x)), c)
+    # the other roots' product and sum, by whichever Vieta relation
+    # does not cancel against r
+    prod = -1.0 / (l3 * r)
+    if r * r > abs(prod):
+        total = ((l1 - 1.0) / l3 - prod) / r
+    else:
+        total = -l2 / l3 - r
+    disc_q = total * total - 4.0 * prod
+    # discriminant of the monic cubic in x |l3|^(1/3), with a, b the other
+    # roots: l3^2 disc_q ((r - a)(r - b))^2
+    disc = l3 * l3 * disc_q * ((r - total) * r + prod) ** 2
+    if disc_q < 0.0:
+        return _solution_from_roots([r], c, discriminant=disc, n_complex=2)
+    big = 0.5 * (total + math.copysign(math.sqrt(disc_q), total))
+    roots = [r, _newton_polish(big, c), _newton_polish(prod / big, c)]
+    return _solution_from_roots(roots, c, discriminant=disc, n_complex=0)
 
 
 def _solution_from_roots(roots, c, discriminant, n_complex,

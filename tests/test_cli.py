@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levyqm.cli import main
+from levyqm.cli import build_parser, main, write_csv
 from levyqm.presets import PRESET_MASSES, REFERENCE_LAMBDAS
 
 
@@ -236,3 +239,85 @@ def test_output_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("LEVYQM_OUTPUT_DIR", str(tmp_path))
     assert main(["reproduce-tables"]) == 0
     assert (tmp_path / "reproduce_tables.json").exists()
+    # default names join the subcommand words with underscores
+    assert main(["spectrum", "fit", "--masses", "1,2,3"]) == 0
+    assert (tmp_path / "spectrum_fit.json").exists()
+    assert main(["levy-measure", "--mass", "1", "--points", "8"]) == 0
+    assert (tmp_path / "levy_measure.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# provenance and the CSV writer
+# ---------------------------------------------------------------------------
+
+def provenance_of(out):
+    meta = out.with_name(out.name + ".meta.json")
+    return load_json(meta if meta.exists() else out)["provenance"]
+
+
+def test_evolve_branch_provenance_records_the_spectrum(tmp_path):
+    params = []
+    for masses in ("1,2,3", "1,2,4"):
+        out = tmp_path / f"branch_{masses[-1]}.csv"
+        assert main(["evolve", "--mass", "1", "--dt", "0.1", "--steps", "2",
+                     "--branch", "1", "--masses", masses, "-o", str(out)]) == 0
+        params.append(provenance_of(out)["parameters"])
+    assert params[0] != params[1]
+    for p in params:
+        assert {"masses", "preset", "lambdas", "base"} <= set(p)
+
+
+def readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("levyqm ")]
+
+
+def declared_dests(argv):
+    """Dests of the (sub)subparser argv selects, read from build_parser()."""
+    parser = build_parser()
+    for word in argv:
+        sub = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+        if not sub or word not in sub[0].choices:
+            break
+        parser = sub[0].choices[word]
+    return {a.dest for a in parser._actions} - {"help", "output"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_records_every_argument(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert declared_dests(argv) <= set(provenance_of(out)["parameters"])
+
+
+def reference_write_csv(path, header, columns):
+    """The per-value writer write_csv replaced, kept as its reference."""
+    columns = [np.asarray(col) for col in columns]
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300,
+               -1e300, 1e-300, -1e-300, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0]
+
+
+@pytest.mark.parametrize("columns", [
+    [EDGE_VALUES],
+    [EDGE_VALUES, EDGE_VALUES[::-1],
+     np.arange(len(EDGE_VALUES)) * 7 - 40,
+     tuple(np.random.default_rng(0).standard_normal(len(EDGE_VALUES)))],
+    [np.array([0, -3, 2 ** 40, 2 ** 60 + 1, -(2 ** 62)])],
+    [np.array([], dtype=float), np.array([], dtype=float)],
+], ids=["one-column", "four-columns", "ints", "empty"])
+def test_write_csv_matches_per_value_format(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "new.csv", header, columns)
+    reference_write_csv(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()

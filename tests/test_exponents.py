@@ -163,8 +163,7 @@ def test_gaussian_part_adds():
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:The maximum number")
 def test_divergent_tail_raises_with_partial_sums():
     # W ~ 1/(1+|x|) has a non-integrable tail: not a Levy measure
-    bad = LevyTriplet(jump_density=lambda x: 1.0 / (1.0 + abs(x)),
-                      integrable_tail=False)
+    bad = LevyTriplet(jump_density=lambda x: 1.0 / (1.0 + abs(x)))
     with pytest.raises(TailDivergenceError) as err:
         eta_from_triplet(1.0, bad, QuadratureSpec(max_doublings=20))
     assert len(err.value.partial_sums) == 20

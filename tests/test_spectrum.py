@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyqm.presets import PRESET_MASSES, REFERENCE_LAMBDAS
@@ -132,18 +133,66 @@ def test_linear_case():
     assert sol.roots == (pytest.approx(2.0),)
 
 
+def exact_real_roots(c):
+    """Real roots of g(x) = 1 for the float coefficients as given, 50 digits.
+
+    The sign of the cubic's discriminant, computed in exact rational
+    arithmetic, says how many of mpmath's roots are real.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, b = Fraction(c.lambda3), Fraction(c.lambda2)
+    d = Fraction(c.lambda1) - 1
+    disc = 18 * a * b * d - 4 * b ** 3 + b * b * d * d - 4 * a * d ** 3 \
+        - 27 * a * a
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(c.lambda3), mpmath.mpf(c.lambda2),
+             mpmath.mpf(c.lambda1) - 1, 1], maxsteps=200, extraprec=200)
+        roots = sorted(roots, key=lambda r: abs(mpmath.im(r)))
+        return sorted(float(mpmath.re(r)) for r in roots[:3 if disc >= 0 else 1])
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3,
                 max_size=3, unique=True))
+# rounding the coefficients alone moves these roots by more than 1e-10
+@example([0.0, 0.00390625, 6.103515625e-05])
+@example([0.0, 0.125, 4.452498675144073e-06])
+# a near-coincident pair below a distant root: the closed form alone
+# fails its root certificate, or loses the pair
+@example([-1.7345658765361187, -1.7345598903452835, 1.4894783101259872])
+@example([-1.8640945153174457, -1.8640995917718075, 1.895313460666983])
+# three roots within 3e-5 of each other
+@example([1.9100805950552382, 1.9100856084507762, 1.9100911621275896])
+# ... whose rounded coefficients have a complex pair
+@example([1.959, 1.9590100000000001, 1.95902])
 def test_round_trip_property(exponents):
     xs = sorted(10.0 ** e for e in exponents)
     if min(xs[1] / xs[0], xs[2] / xs[1]) < 1.0 + 1e-5:
         return
     c = lambdas_from_roots(*xs)
     sol = roots_from_lambdas(c)
-    assert len(sol.roots) == 3
-    for got, want in zip(sol.roots, xs):
+    # Nearly coincident roots move by more than 1e-10 when the
+    # coefficients are rounded, so the solver is held to the exact roots
+    # of the float coefficients it received.
+    exact = exact_real_roots(c)
+    assert len(sol.roots) == len(exact)
+    assert (sol.discriminant > 0.0) == (len(exact) == 3)
+    for got, want in zip(sol.roots, exact):
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("xs", [(1.0, 42704.0, 1.19979e7),
+                                (1.0, 1.00002, 1e6), (2.0, 1e5, 1.00001e5),
+                                (0.01, 0.0100002, 0.0100004)])
+def test_discriminant_of_rescaled_cubic(xs):
+    # l3^2 prod (x_i - x_j)^2 is the discriminant of the monic cubic in
+    # x |l3|^(1/3); the cancellation in the pair's own discriminant
+    # leaves it ~1e-6 accurate when roots are 2e-5 apart
+    c = lambdas_from_roots(*xs)
+    a, b, d = exact_real_roots(c)
+    want = c.lambda3 ** 2 * ((a - b) * (a - d) * (b - d)) ** 2
+    assert roots_from_lambdas(c).discriminant == pytest.approx(want, rel=1e-5)
 
 
 def test_round_trip_eleven_orders_of_magnitude():
