@@ -66,6 +66,7 @@ from .spectrum import (
     MassTriple,
     SpectrumSolution,
     f_eval,
+    fit_masses,
     g_eval,
     lambdas_from_masses,
     lambdas_from_roots,
@@ -82,7 +83,7 @@ __all__ = [
     "eta_modified_branch", "eta_relativistic", "kinetic_energy",
     # spectrum
     "CutoffPolynomial", "DegenerateRootError", "MassTriple",
-    "SpectrumSolution", "f_eval", "g_eval", "lambdas_from_masses",
+    "SpectrumSolution", "f_eval", "fit_masses", "g_eval", "lambdas_from_masses",
     "lambdas_from_roots", "masses_from_lambdas", "residues",
     "roots_from_lambdas",
     # densities

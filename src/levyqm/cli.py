@@ -38,8 +38,8 @@ from .propagators import (LOOP_VARIANTS, find_poles, kg_propagator,
                           loop_integral)
 from .sampler import SeededGenerator, ks_validate, sample_endpoints, sample_paths
 from .spectrum import (CutoffPolynomial, DegenerateRootError, MassTriple,
-                       lambdas_from_masses, masses_from_lambdas,
-                       resolve_base_mass)
+                       SpectrumSolution, fit_masses, lambdas_from_masses,
+                       masses_from_lambdas)
 
 OUTPUT_DIR_ENV = "LEVYQM_OUTPUT_DIR"
 
@@ -71,12 +71,16 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header, columns) -> None:
-    # "%.17g" % v is format(float(v), ".17g"), nan/inf/-0 included
-    row = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines += [row % tuple(values)
-              for values in np.column_stack(columns).tolist()]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Header line, then one line per row of ``%.17g`` values.
+
+    The whole table is one ``%`` call on a repeated row template; the
+    bytes are those of formatting each value on its own, since
+    ``"%.17g" % v`` is ``format(float(v), ".17g")``, nan/inf/-0 included.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    body = row * len(table) % tuple(table.ravel().tolist())
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -130,20 +134,26 @@ def _parse_floats(text: str, n=None):
     return vals
 
 
-def _cutoff_from_args(args) -> tuple[CutoffPolynomial, float]:
-    """(coefficients, base mass) from --preset or --lambdas/--masses."""
+def _cutoff_from_args(args) -> tuple[CutoffPolynomial, float,
+                                      SpectrumSolution]:
+    """(coefficients, base mass, spectrum) from --preset or --lambdas/--masses.
+
+    Target masses go through fit_masses, so every command sees repeated
+    masses as the degenerate spectrum that `spectrum fit` reports.
+    """
     if args.preset:
-        masses = MassTriple.from_values(PRESET_MASSES[args.preset])
-        return lambdas_from_masses(masses), masses.m1
-    if args.lambdas:
+        masses, base = PRESET_MASSES[args.preset], "lightest"
+    elif args.lambdas:
         if args.mass is None:
             raise ValueError("--lambdas requires --mass")
-        return CutoffPolynomial(*_parse_floats(args.lambdas, 3)), args.mass
-    if args.masses:
-        masses = MassTriple.from_values(_parse_floats(args.masses, 3))
-        return (lambdas_from_masses(masses, base=args.base),
-                resolve_base_mass(masses, args.base))
-    raise ValueError("supply --preset, --lambdas or --masses")
+        c = CutoffPolynomial(*_parse_floats(args.lambdas, 3))
+        return c, args.mass, masses_from_lambdas(c, args.mass)
+    elif args.masses:
+        masses, base = _parse_floats(args.masses, 3), args.base
+    else:
+        raise ValueError("supply --preset, --lambdas or --masses")
+    c, solution = fit_masses(MassTriple.from_values(masses), base=base)
+    return c, solution.base_mass, solution
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +175,7 @@ def cmd_exponent(args) -> int:
 
 def cmd_spectrum_fit(args) -> int:
     masses = MassTriple.from_values(_parse_floats(args.masses, 3))
-    c = lambdas_from_masses(masses, base=args.base)
-    solution = masses_from_lambdas(c, resolve_base_mass(masses, args.base))
+    c, solution = fit_masses(masses, base=args.base)
     record = {"lambdas": list(c.as_tuple()), **solution.to_dict()}
     emit(args, record, resolved={"masses": list(masses.as_tuple())})
     print(json.dumps({"lambdas": record["lambdas"],
@@ -231,9 +240,8 @@ def cmd_evolve(args) -> int:
     psi = gaussian_packet(args.x0, args.p0, args.sigma, grid)
 
     if args.branch is not None:
-        c, base = _cutoff_from_args(args)
+        _, base, branch_solution = _cutoff_from_args(args)
         base_params = ExponentParams.from_mass(base)
-        branch_solution = masses_from_lambdas(c, base)
         stepper = lambda w: evolve_modified(w, args.dt, base_params,
                                             branch_solution, args.branch)
     else:
@@ -266,11 +274,11 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_propagator(args) -> int:
-    c, mass = _cutoff_from_args(args)
+    c, mass, solution = _cutoff_from_args(args)
     eps = args.eps if args.eps is not None else 1e-9 * mass ** 2
     p2 = np.linspace(args.p2_min, args.p2_max, args.points)
     values = kg_propagator(p2, mass, c, eps)
-    solution, fits = find_poles(mass, c, verify=False)
+    _, fits = find_poles(mass, c, verify=False)
     out = emit(args, {
         "poles": solution.to_dict(),
         "pole_fits": [dataclasses.asdict(f) for f in fits],
@@ -282,12 +290,11 @@ def cmd_propagator(args) -> int:
 
 
 def cmd_loop(args) -> int:
-    c, mass = _cutoff_from_args(args)
+    c, mass, solution = _cutoff_from_args(args)
     pe = args.pe if args.pe is not None else mass
     if args.cutoffs:
         cutoffs = np.asarray(_parse_floats(args.cutoffs))
     else:
-        solution = masses_from_lambdas(c, mass)
         top = max([mass] + [m for m in solution.masses if not math.isnan(m)])
         cutoffs = 100.0 * top * 2.0 ** np.arange(0, args.octaves + 1)
     if args.variant == "all":
@@ -296,7 +303,8 @@ def cmd_loop(args) -> int:
         variants = (f"unmodified-{args.variant}", f"modified-{args.variant}")
     result = loop_integral(pe, mass, c, cutoffs, variants=variants)
     out = emit(args, {"tail_fits": {v: result.tail_fits[v].to_dict()
-                                    for v in variants}},
+                                    for v in variants},
+                      "diagnostics": {"quadrature_abserr": result.abserr}},
                {"cutoff": result.cutoffs,
                 **{v.replace("-", "_"): result.values[v] for v in variants}},
                resolved={"mass": mass, "lambdas": list(c.as_tuple()), "pe": pe,

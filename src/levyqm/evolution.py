@@ -8,6 +8,12 @@ space as the unitary multiplier
 exactly unitary because eta is real for symmetric laws.  Plane waves
 are eigenfunctions with kinetic energy E0 = -eta(u)/tau; the rest-mass
 phase is absorbed throughout, so all reported energies are kinetic.
+The multiplier is fixed by (grid, dt, eta, tau), so it is built once and
+kept in a small cache: a run of equal steps evaluates eta and exp once.
+eta must therefore be a pure function of u.  Complex transforms use
+``scipy.fft``: faster, and on complex input bit-identical to
+``numpy.fft`` from numpy 2, which moved to the same C++ pocketfft (the
+tests compare the two).
 
 For the pure-jump relativistic process the same generator has the
 integro-differential form
@@ -31,9 +37,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .densities import GridError, GridSpec, levy_density_1d
-from .exponents import ExponentParams, eta_relativistic
+from .exponents import ExponentParams, LogCharacteristic, eta_relativistic
 from .spectrum import SpectrumSolution
 
 JUMP_STABILITY_FACTOR = 1e-3
@@ -127,18 +134,29 @@ def observables(psi: WaveFunction) -> Observables:
     x = psi.grid.x_centers()
     centroid = float(np.sum(x * prob))
     variance = float(np.sum((x - centroid) ** 2 * prob))
-    spectral = np.abs(np.fft.fft(psi.values)) ** 2
+    spectral = np.abs(scipy.fft.fft(psi.values)) ** 2
     u = psi.grid.u_fft()
     momentum = float(np.sum(u * spectral) / spectral.sum())
     return Observables(norm=norm, centroid=centroid, variance=variance,
                        momentum_centroid=momentum)
 
 
-def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFunction:
-    """Exact free step: multiply psi_hat by exp(i dt eta(u) / tau)."""
-    u = psi.grid.u_fft()
+@lru_cache(maxsize=8)
+def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
+    """exp(i dt eta(u) / tau) on the grid's FFT frequencies, read-only."""
+    u = grid.u_fft()
     multiplier = np.exp(1j * (dt / tau) * np.asarray(eta(u), dtype=float))
-    values = np.fft.ifft(multiplier * np.fft.fft(psi.values))
+    multiplier.setflags(write=False)
+    return multiplier
+
+
+def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFunction:
+    """Exact free step: multiply psi_hat by exp(i dt eta(u) / tau).
+
+    The multiplier comes from a cache keyed on (grid, dt, eta, tau).
+    """
+    multiplier = _spectral_multiplier(psi.grid, dt, eta, tau)
+    values = scipy.fft.ifft(multiplier * scipy.fft.fft(psi.values))
     return WaveFunction.from_samples(psi.grid, values, normalize=False)
 
 
@@ -147,7 +165,9 @@ def evolve_modified(psi: WaveFunction, dt: float, base: ExponentParams,
     """Free step on one mass branch of a cutoff spectrum.
 
     The branch root x_i re-scales every natural-unit parameter to the
-    branch mass M = m sqrt(x_i), i.e. a_M = tau_M = 1/M.
+    branch mass M = m sqrt(x_i), i.e. a_M = tau_M = 1/M.  The branch
+    exponent is the same object for equal branch parameters, so repeated
+    steps reuse one cached multiplier.
     """
     if not 0 <= branch < len(solution.roots):
         raise IndexError(f"branch {branch} outside spectrum of "
@@ -157,7 +177,7 @@ def evolve_modified(psi: WaveFunction, dt: float, base: ExponentParams,
         raise ValueError(f"branch {branch} is not a real positive root")
     m_branch = base.m * math.sqrt(solution.roots[branch])
     params = ExponentParams.from_mass(m_branch)
-    return evolve_spectral(psi, dt, lambda u: eta_relativistic(u, params),
+    return evolve_spectral(psi, dt, LogCharacteristic.relativistic(params),
                            params.tau)
 
 
@@ -233,7 +253,7 @@ def evolve_jump_quadrature(psi: WaveFunction, dt: float,
 
     symbol, jmax, tail = _jump_kernel(psi.grid, params)
     v = psi.values
-    jump = np.fft.ifft(symbol * np.fft.fft(v))
+    jump = scipy.fft.ifft(symbol * scipy.fft.fft(v))
 
     new_values = v + 1j * (dt / params.tau) * jump
 

@@ -157,7 +157,10 @@ class LogCharacteristic:
         return self.eval(u)
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def relativistic(cls, params: ExponentParams) -> "LogCharacteristic":
+        """The relativistic exponent; one shared object per parameter set,
+        so that caches keyed on eta (the spectral multiplier) hit."""
         return cls(eval=lambda u: eta_relativistic(u, params))
 
     @classmethod

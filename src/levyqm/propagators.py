@@ -109,10 +109,17 @@ class TailFit:
 
 @dataclass(frozen=True)
 class LoopResult:
+    """Cumulative values and increments per variant over the cutoffs.
+
+    abserr: per variant, QUADPACK's absolute error estimates summed over
+    the segments, an estimate of the error of the last cumulative value.
+    """
+
     cutoffs: np.ndarray
     values: dict
     increments: dict
     tail_fits: dict
+    abserr: dict
 
     def to_dict(self):
         return {
@@ -120,6 +127,7 @@ class LoopResult:
             "values": {k: v.tolist() for k, v in self.values.items()},
             "increments": {k: v.tolist() for k, v in self.increments.items()},
             "tail_fits": {k: v.to_dict() for k, v in self.tail_fits.items()},
+            "abserr": dict(self.abserr),
         }
 
 
@@ -252,23 +260,26 @@ def loop_integral(pE: float, m: float, c: CutoffPolynomial, cutoffs,
     values = {}
     increments = {}
     tail_fits = {}
+    abserr = {}
     for variant in variants:
         modified = variant.startswith("modified")
         mass_type = variant.endswith("mass")
         segs = []
+        abserr[variant] = 0.0
         edges = np.concatenate([[0.0], cutoffs])
         for lo, hi in zip(edges[:-1], edges[1:]):
             pts = [p for p in features if lo < p < hi] or None
-            val, _ = quad(_loop_integrand, lo, hi,
-                          args=(pE, m, c, modified, mass_type),
-                          points=pts, epsabs=0.0, epsrel=1e-10, limit=400)
+            val, err = quad(_loop_integrand, lo, hi,
+                            args=(pE, m, c, modified, mass_type),
+                            points=pts, epsabs=0.0, epsrel=1e-10, limit=400)
             segs.append(val)
+            abserr[variant] += err
         segs = np.array(segs)
         values[variant] = np.cumsum(segs)
         increments[variant] = segs[1:]
         tail_fits[variant] = _analyze_tail(cutoffs, values[variant], segs[1:])
     return LoopResult(cutoffs=cutoffs, values=values, increments=increments,
-                      tail_fits=tail_fits)
+                      tail_fits=tail_fits, abserr=abserr)
 
 
 def _linear_fit(x, y):

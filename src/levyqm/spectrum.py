@@ -165,9 +165,24 @@ def lambdas_from_roots(x1: float, x2: float, x3: float) -> CutoffPolynomial:
         lambda3=-r1 * r2 * r3,
     )
     for x in roots:
-        if abs(g_eval(x, c) - 1.0) > ROOT_CERTIFICATE * max(1.0, abs(x)):
+        if not _certified(x, c):
             raise RuntimeError(f"coefficient construction failed certificate at x={x}")
     return c
+
+
+def _certified(x: float, c: CutoffPolynomial) -> bool:
+    """g(x) = 1 to within a ROOT_CERTIFICATE relative move of the root.
+
+    A residual r moves a simple root by r / g'(x), so the bound scales
+    with |x g'(x)|, the root's conditioning: a far root above a close
+    pair carries a large residual from coefficient rounding alone and is
+    still exact to a few ulps.  The floor max(1, |x|) keeps the bound
+    finite at multiple roots, where g' vanishes and the degenerate flag
+    takes over.
+    """
+    residual = abs(g_eval(x, c) - 1.0)
+    return (residual <= ROOT_CERTIFICATE * max(1.0, abs(x))
+            or residual <= ROOT_CERTIFICATE * abs(x * g_prime(x, c)))
 
 
 def _warn_near_coincident(roots):
@@ -313,17 +328,22 @@ def roots_from_lambdas(c: CutoffPolynomial) -> SpectrumSolution:
 
 
 def _solution_from_roots(roots, c, discriminant, n_complex,
-                         base_mass=None) -> SpectrumSolution:
+                         base_mass=None, multiple=()) -> SpectrumSolution:
+    """Masses, residues and flags at certified roots.
+
+    A root is multiple, with no residue, when it is listed in
+    ``multiple`` or when |g'(x)| < DEGENERATE_GPRIME.
+    """
     roots = sorted(roots)
     degenerate = False
     residues = []
     flags = []
     masses = []
     for x in roots:
-        if abs(g_eval(x, c) - 1.0) > ROOT_CERTIFICATE * max(1.0, abs(x)):
+        if not _certified(x, c):
             raise RuntimeError(f"root certificate violated at x={x!r}")
         gp = g_prime(x, c)
-        if abs(gp) < DEGENERATE_GPRIME:
+        if x in multiple or abs(gp) < DEGENERATE_GPRIME:
             degenerate = True
             residues.append(math.nan)
             flags.append(RootFlags(real=True, positive=x > 0.0,
@@ -375,9 +395,36 @@ def lambdas_from_masses(masses: MassTriple, base="lightest") -> CutoffPolynomial
     With the default policy the lightest mass anchors the base scale,
     so x1 = 1 exactly and l1 = -(1/x2 + 1/x3) up to the constant shift.
     """
-    m = resolve_base_mass(masses, base)
-    xs = [(mass / m) ** 2 for mass in masses.as_tuple()]
+    _, xs = _target_roots(masses, base)
     return lambdas_from_roots(*xs)
+
+
+def _target_roots(masses: MassTriple, base) -> tuple[float, list]:
+    """Base mass m and the roots x_i = (m_i / m)^2 that give the masses."""
+    m = resolve_base_mass(masses, base)
+    return m, [(mass / m) ** 2 for mass in masses.as_tuple()]
+
+
+def fit_masses(masses: MassTriple,
+               base="lightest") -> tuple[CutoffPolynomial, SpectrumSolution]:
+    """(coefficients, spectrum) for three target masses.
+
+    Distinct masses: the spectrum is solved back from the coefficients,
+    a round trip.  Exactly coincident masses are a multiple pole, but
+    rounding the coefficients splits a double root or turns it into a
+    complex pair, so the solve-back would report whatever the rounding
+    did.  They are flagged from the input instead: the spectrum is the
+    target roots themselves, degenerate, with no residue at the repeated
+    root, whatever g' of the rounded coefficients is there.
+    """
+    m, xs = _target_roots(masses, base)
+    c = lambdas_from_roots(*xs)
+    values = masses.as_tuple()
+    repeated = {x for x, mass in zip(xs, values) if values.count(mass) > 1}
+    if not repeated:
+        return c, masses_from_lambdas(c, m)
+    return c, _solution_from_roots(xs, c, discriminant=0.0, n_complex=0,
+                                   base_mass=m, multiple=repeated)
 
 
 def masses_from_lambdas(c: CutoffPolynomial, m: float) -> SpectrumSolution:

@@ -67,6 +67,35 @@ def test_spectrum_fit_degenerate_exit_code(tmp_path):
     assert load_json(out)["degenerate"] is True
 
 
+@pytest.mark.parametrize("masses,base", [
+    ("1,1,2", []), ("1,1,10", []), ("0.5,0.5,3", []),
+    ("1,2,2", ["--base", "1000"])])
+def test_repeated_masses_are_degenerate(tmp_path, capsys, masses, base):
+    fit = tmp_path / "fit.json"
+    with pytest.warns(UserWarning):
+        assert main(["spectrum", "fit", "--masses", masses, *base,
+                     "-o", str(fit)]) == 3
+        assert main(["propagator", "--masses", masses, *base,
+                     "--points", "16", "-o", str(tmp_path / "p.csv")]) == 3
+    assert "degenerate spectrum" in capsys.readouterr().err
+    assert load_json(fit)["degenerate"] is True
+    poles = load_json(tmp_path / "p.csv.meta.json")["poles"]
+    assert poles == {k: v for k, v in load_json(fit).items() if k in poles}
+
+
+@pytest.mark.parametrize("masses", ["1,1,2", "1,1,10", "0.5,0.5,3"])
+def test_evolve_branch_on_a_repeated_mass(tmp_path, masses):
+    # branch 1 is the repeated root x = 1, i.e. the lightest mass
+    with pytest.warns(UserWarning):
+        assert main(["evolve", "--mass", "1", "--dt", "0.1", "--steps", "3",
+                     "--branch", "1", "--masses", masses,
+                     "-o", str(tmp_path / "branch.csv")]) == 0
+    assert main(["evolve", "--mass", masses.split(",")[0], "--dt", "0.1",
+                 "--steps", "3", "-o", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "branch.csv").read_bytes() == \
+        (tmp_path / "plain.csv").read_bytes()
+
+
 def test_spectrum_fit_domain_error_exit_code(tmp_path):
     assert main(["spectrum", "fit", "--masses=-1,2,3",
                  "-o", str(tmp_path / "x.json")]) == 2
@@ -183,6 +212,11 @@ def test_loop_preset_tail_exponent(tmp_path):
     assert meta["tail_fits"]["unmodified-scalar"]["log_slope"] > 0
     cols = read_csv_columns(out)
     assert "modified_scalar" in cols
+    abserr = meta["diagnostics"]["quadrature_abserr"]
+    assert set(abserr) == {"unmodified-scalar", "modified-scalar"}
+    for variant, err in abserr.items():
+        column = cols[variant.replace("-", "_")]
+        assert 0.0 < err < 1e-8 * np.max(np.abs(column))
 
 
 def test_simulate_validation_report(tmp_path):

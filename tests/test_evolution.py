@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levyqm import ExponentParams, LogCharacteristic, eta_relativistic
+from levyqm import evolution, exponents
 from levyqm.densities import GridError, GridSpec, levy_density_1d
 from levyqm.evolution import (StabilityError, WaveFunction,
                               evolve_jump_quadrature, evolve_modified,
@@ -243,3 +244,68 @@ def test_branch_index_errors(three_branch_solution):
     psi = gaussian_packet(0.0, 0.0, 1.0, packet_grid())
     with pytest.raises(IndexError):
         evolve_modified(psi, 0.1, UNIT, sol, branch=5)
+
+
+# ---------------------------------------------------------------------------
+# the cached spectral multiplier
+# ---------------------------------------------------------------------------
+
+def uncached_step(values, grid, dt, eta, tau):
+    u = grid.u_fft()
+    multiplier = np.exp(1j * (dt / tau) * np.asarray(eta(u), dtype=float))
+    return np.fft.ifft(multiplier * np.fft.fft(values))
+
+
+def counting(eta):
+    def counted(*args):
+        counted.calls += 1
+        return eta(*args)
+    counted.calls = 0
+    return counted
+
+
+def test_spectral_steps_evaluate_eta_once():
+    eta = counting(ETA)
+    psi = gaussian_packet(0.0, 1.0, 1.0, packet_grid())
+    for _ in range(50):
+        psi = evolve_spectral(psi, 0.05, eta, UNIT.tau)
+    assert eta.calls == 1
+
+
+def test_branch_steps_evaluate_eta_once(monkeypatch, three_branch_solution):
+    evolution._spectral_multiplier.cache_clear()
+    counted = counting(exponents.eta_relativistic)
+    monkeypatch.setattr(exponents, "eta_relativistic", counted)
+    _, sol = three_branch_solution
+    psi = gaussian_packet(0.0, 1.0, 1.0, packet_grid())
+    for _ in range(50):
+        psi = evolve_modified(psi, 0.05, UNIT, sol, branch=1)
+    assert counted.calls == 1
+
+
+def test_cached_steps_match_uncached_reference_bytes():
+    grid = packet_grid()
+    psi = gaussian_packet(0.0, 1.0, 1.0, grid)
+    want = psi.values
+    for _ in range(50):
+        psi = evolve_spectral(psi, 0.05, ETA, UNIT.tau)
+        want = uncached_step(want, grid, 0.05, ETA, UNIT.tau)
+    assert psi.values.tobytes() == want.tobytes()
+
+
+def test_multiplier_cache_keys_on_dt_grid_and_branch(three_branch_solution):
+    _, sol = three_branch_solution
+    for grid in (packet_grid(), GridSpec(n=1024, dx=0.05),
+                 GridSpec(n=2048, dx=0.04)):
+        psi = gaussian_packet(0.5, 1.0, 1.0, grid)
+        for dt in (0.05, 0.07, 0.05):
+            got = evolve_spectral(psi, dt, ETA, UNIT.tau)
+            want = uncached_step(psi.values, grid, dt, ETA, UNIT.tau)
+            assert got.values.tobytes() == want.tobytes()
+        for branch in (0, 1, 2, 1):
+            params = ExponentParams.from_mass(math.sqrt(sol.roots[branch]))
+            got = evolve_modified(psi, 0.05, UNIT, sol, branch)
+            want = uncached_step(psi.values, grid, 0.05,
+                                 lambda u: eta_relativistic(u, params),
+                                 params.tau)
+            assert got.values.tobytes() == want.tobytes()

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from levyqm.presets import PRESET_MASSES, REFERENCE_LAMBDAS
 from levyqm.spectrum import (CutoffPolynomial, DegenerateRootError, MassTriple,
-                             NearDegenerateRootsWarning, f_eval, g_eval,
-                             g_prime, lambdas_from_masses, lambdas_from_roots,
-                             masses_from_lambdas, residues, roots_from_lambdas)
+                             NearDegenerateRootsWarning, _certified, f_eval,
+                             fit_masses, g_eval, g_prime, lambdas_from_masses,
+                             lambdas_from_roots, masses_from_lambdas, residues,
+                             roots_from_lambdas)
 
 TABLE3 = CutoffPolynomial(-2.35e-5, 2.35e-5, -1.95e-12)
 TRIPLE = CutoffPolynomial(-2.0, 3.0, -1.0)
@@ -223,6 +224,19 @@ def test_root_certificate():
             assert abs(g_eval(x, c) - 1.0) <= 1e-9 * max(1.0, x)
 
 
+def test_certificate_scales_with_root_conditioning():
+    # a far root above a near pair: rounding the coefficients leaves a
+    # residual of ~0.7 at x = 1e8, a 7e-17 relative move of that root
+    xs = (1.0, 1.0001, 1e8)
+    c = lambdas_from_roots(*xs)
+    sol = roots_from_lambdas(c)
+    for got, want in zip(sol.roots, xs):
+        assert got == pytest.approx(want, rel=1e-10)
+    # l3 off by 1e-6 relative moves the far root by 1e-6 relative
+    bad = CutoffPolynomial(c.lambda1, c.lambda2, c.lambda3 * (1.0 + 1e-6))
+    assert not _certified(1e8, bad)
+
+
 # ---------------------------------------------------------------------------
 # masses and residues
 # ---------------------------------------------------------------------------
@@ -300,3 +314,25 @@ def test_solution_serialization():
     assert d["roots"] == [1.0]
     assert d["masses"] == [2.0]
     assert d["flags"][0]["residue_positive"] is True
+
+
+@pytest.mark.parametrize("masses", [(1.0, 1.0, 2.0), (1.0, 1.0, 10.0),
+                                    (0.5, 0.5, 3.0), (1.0, 2.0, 2.0),
+                                    (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("base", ["lightest", 0.25, 1000.0])
+def test_fit_flags_coincident_masses_from_the_input(masses, base):
+    triple = MassTriple.from_values(masses)
+    with pytest.warns(NearDegenerateRootsWarning):
+        c, sol = fit_masses(triple, base)
+        assert c == lambdas_from_masses(triple, base)
+    assert sol.degenerate
+    assert sol.n_complex == 0
+    assert sol.masses == pytest.approx(masses, rel=1e-15)
+    for r, m in zip(sol.residues, masses):
+        assert math.isnan(r) == (masses.count(m) > 1)
+
+
+def test_fit_of_distinct_masses_is_the_solve_back():
+    masses = MassTriple.from_values(PRESET_MASSES["table3"])
+    c, sol = fit_masses(masses)
+    assert sol == masses_from_lambdas(c, masses.m1)
