@@ -62,17 +62,13 @@ from .sampler import (
 )
 from .spectrum import (
     CutoffPolynomial,
-    DegenerateRootError,
     MassTriple,
     SpectrumSolution,
     f_eval,
     fit_masses,
     g_eval,
-    lambdas_from_masses,
     lambdas_from_roots,
     masses_from_lambdas,
-    residues,
-    roots_from_lambdas,
 )
 
 __all__ = [
@@ -82,10 +78,8 @@ __all__ = [
     "TailDivergenceError", "bessel_k", "eta_from_triplet",
     "eta_modified_branch", "eta_relativistic", "kinetic_energy",
     # spectrum
-    "CutoffPolynomial", "DegenerateRootError", "MassTriple",
-    "SpectrumSolution", "f_eval", "fit_masses", "g_eval", "lambdas_from_masses",
-    "lambdas_from_roots", "masses_from_lambdas", "residues",
-    "roots_from_lambdas",
+    "CutoffPolynomial", "MassTriple", "SpectrumSolution", "f_eval",
+    "fit_masses", "g_eval", "lambdas_from_roots", "masses_from_lambdas",
     # densities
     "DensityTable", "GridError", "GridSpec", "convolve", "default_grid",
     "levy_density_1d", "levy_density_3d", "moments", "relativistic_triplet",

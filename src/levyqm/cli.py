@@ -8,6 +8,10 @@ are every parsed argument plus the values resolved from them (a preset's
 mass and coefficients, the density grid, the loop cutoffs), so a new
 flag is recorded without further code.  Numbers in CSV carry 17
 significant digits so files diff exactly at double precision.
+Commands with a cutoff source (--preset, --lambdas with --mass, or
+--masses) solve its spectrum once, in ``_cutoff_from_args``, and pass
+that one ``SpectrumSolution`` to the library; its base mass and
+coefficients are the run's.
 
 Exit codes: 0 success, 2 domain errors, 3 degenerate spectrum, 4 I/O.
 """
@@ -37,9 +41,8 @@ from .presets import PRESET_MASSES, PRESET_NAMES, REFERENCE_LAMBDAS
 from .propagators import (LOOP_VARIANTS, find_poles, kg_propagator,
                           loop_integral)
 from .sampler import SeededGenerator, ks_validate, sample_endpoints, sample_paths
-from .spectrum import (CutoffPolynomial, DegenerateRootError, MassTriple,
-                       SpectrumSolution, fit_masses, lambdas_from_masses,
-                       masses_from_lambdas)
+from .spectrum import (CutoffPolynomial, MassTriple, SpectrumSolution,
+                       fit_masses, masses_from_lambdas)
 
 OUTPUT_DIR_ENV = "LEVYQM_OUTPUT_DIR"
 
@@ -134,9 +137,16 @@ def _parse_floats(text: str, n=None):
     return vals
 
 
-def _cutoff_from_args(args) -> tuple[CutoffPolynomial, float,
-                                      SpectrumSolution]:
-    """(coefficients, base mass, spectrum) from --preset or --lambdas/--masses.
+def _positive_int(text: str) -> int:
+    """argparse type of counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _cutoff_from_args(args) -> SpectrumSolution:
+    """The run's one spectrum, from --preset, --lambdas/--mass or --masses.
 
     Target masses go through fit_masses, so every command sees repeated
     masses as the degenerate spectrum that `spectrum fit` reports.
@@ -147,13 +157,12 @@ def _cutoff_from_args(args) -> tuple[CutoffPolynomial, float,
         if args.mass is None:
             raise ValueError("--lambdas requires --mass")
         c = CutoffPolynomial(*_parse_floats(args.lambdas, 3))
-        return c, args.mass, masses_from_lambdas(c, args.mass)
+        return masses_from_lambdas(c, args.mass)
     elif args.masses:
         masses, base = _parse_floats(args.masses, 3), args.base
     else:
         raise ValueError("supply --preset, --lambdas or --masses")
-    c, solution = fit_masses(MassTriple.from_values(masses), base=base)
-    return c, solution.base_mass, solution
+    return fit_masses(MassTriple.from_values(masses), base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +184,8 @@ def cmd_exponent(args) -> int:
 
 def cmd_spectrum_fit(args) -> int:
     masses = MassTriple.from_values(_parse_floats(args.masses, 3))
-    c, solution = fit_masses(masses, base=args.base)
-    record = {"lambdas": list(c.as_tuple()), **solution.to_dict()}
+    solution = fit_masses(masses, base=args.base)
+    record = solution.to_dict()
     emit(args, record, resolved={"masses": list(masses.as_tuple())})
     print(json.dumps({"lambdas": record["lambdas"],
                       "degenerate": solution.degenerate}))
@@ -190,7 +199,7 @@ def cmd_spectrum_fit(args) -> int:
 def cmd_spectrum_solve(args) -> int:
     c = CutoffPolynomial(*_parse_floats(args.lambdas, 3))
     solution = masses_from_lambdas(c, args.mass)
-    record = {"lambdas": list(c.as_tuple()), **solution.to_dict()}
+    record = solution.to_dict()
     emit(args, record, resolved={"lambdas": record["lambdas"]})
     print(json.dumps({"roots": record["roots"], "masses": record["masses"],
                       "degenerate": solution.degenerate}))
@@ -240,10 +249,8 @@ def cmd_evolve(args) -> int:
     psi = gaussian_packet(args.x0, args.p0, args.sigma, grid)
 
     if args.branch is not None:
-        _, base, branch_solution = _cutoff_from_args(args)
-        base_params = ExponentParams.from_mass(base)
-        stepper = lambda w: evolve_modified(w, args.dt, base_params,
-                                            branch_solution, args.branch)
+        spectrum = _cutoff_from_args(args)
+        stepper = lambda w: evolve_modified(w, args.dt, spectrum, args.branch)
     else:
         eta = LogCharacteristic.relativistic(params)
         stepper = lambda w: evolve_spectral(w, args.dt, eta, params.tau)
@@ -274,11 +281,12 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_propagator(args) -> int:
-    c, mass, solution = _cutoff_from_args(args)
+    solution = _cutoff_from_args(args)
+    mass, c = solution.base_mass, solution.coefficients
     eps = args.eps if args.eps is not None else 1e-9 * mass ** 2
     p2 = np.linspace(args.p2_min, args.p2_max, args.points)
     values = kg_propagator(p2, mass, c, eps)
-    _, fits = find_poles(mass, c, verify=False)
+    fits = find_poles(solution, verify=False)
     out = emit(args, {
         "poles": solution.to_dict(),
         "pole_fits": [dataclasses.asdict(f) for f in fits],
@@ -290,7 +298,8 @@ def cmd_propagator(args) -> int:
 
 
 def cmd_loop(args) -> int:
-    c, mass, solution = _cutoff_from_args(args)
+    solution = _cutoff_from_args(args)
+    mass, c = solution.base_mass, solution.coefficients
     pe = args.pe if args.pe is not None else mass
     if args.cutoffs:
         cutoffs = np.asarray(_parse_floats(args.cutoffs))
@@ -301,7 +310,7 @@ def cmd_loop(args) -> int:
         variants = LOOP_VARIANTS
     else:
         variants = (f"unmodified-{args.variant}", f"modified-{args.variant}")
-    result = loop_integral(pe, mass, c, cutoffs, variants=variants)
+    result = loop_integral(pe, solution, cutoffs, variants=variants)
     out = emit(args, {"tail_fits": {v: result.tail_fits[v].to_dict()
                                     for v in variants},
                       "diagnostics": {"quadrature_abserr": result.abserr}},
@@ -336,12 +345,16 @@ def cmd_simulate(args) -> int:
     grid = default_grid(params, args.t)
     reference = transition_density(args.t, params, eta, grid)
     report = ks_validate(endpoints, reference)
+    variance = float(endpoints.var())
+    law_variance = moments(reference, 2)
 
     emit(args, {
         "validation": {**report.to_dict(), "seed": args.seed},
         "paths_file": str(paths_file) if paths_file else None,
-        "summary": {"mean": float(endpoints.mean()),
-                    "variance": float(endpoints.var())},
+        "summary": {"mean": float(endpoints.mean()), "variance": variance,
+                    "law_variance": law_variance,
+                    "kurtosis": float(np.mean(endpoints ** 4)) / variance ** 2,
+                    "law_kurtosis": moments(reference, 4) / law_variance ** 2},
     }, {"endpoint": endpoints})
     print(json.dumps({"n": report.n, "d": report.d,
                       "threshold": report.threshold, "pass": report.passed}))
@@ -352,7 +365,8 @@ def cmd_reproduce_tables(args) -> int:
     rows = []
     for name in PRESET_NAMES:
         masses = MassTriple.from_values(PRESET_MASSES[name])
-        c = lambdas_from_masses(masses)
+        solution = fit_masses(masses)
+        c = solution.coefficients
         reference = REFERENCE_LAMBDAS[name]
         rel = [abs(got / ref - 1.0)
                for got, ref in zip(c.as_tuple(), reference)]
@@ -363,6 +377,9 @@ def cmd_reproduce_tables(args) -> int:
             "lambdas_computed": list(c.as_tuple()),
             "lambdas_reference": list(reference),
             "max_rel_err": max(rel),
+            "mass_roundtrip_rel_err": max(
+                abs(got / want - 1.0)
+                for got, want in zip(solution.masses, masses.as_tuple())),
             "pass": ok,
         })
         print(f"{name}: {'pass' if ok else 'FAIL'} (max rel err {max(rel):.2e})")
@@ -406,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, cmd_exponent, "exponent", "tabulate a log-characteristic")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--u-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=_positive_int, default=256)
     p.add_argument("--root-x", type=float, default=None,
                    help="evaluate the branch exponent of this spectrum root")
 
@@ -433,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=(1, 3), default=1)
     p.add_argument("--x-min", type=float, default=1e-3)
     p.add_argument("--x-max", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_positive_int, default=512)
     p.add_argument("--log-spacing", action="store_true")
 
     p = command(sub, cmd_evolve, "evolve", "spectral wave-packet evolution")
@@ -456,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff_source(p)
     p.add_argument("--p2-min", type=float, default=0.0)
     p.add_argument("--p2-max", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=2048)
+    p.add_argument("--points", type=_positive_int, default=2048)
     p.add_argument("--eps", type=float, default=None)
 
     p = command(sub, cmd_loop, "loop", "cutoff sweep of the self-energy proxy")
@@ -487,9 +504,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

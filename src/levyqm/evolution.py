@@ -13,7 +13,9 @@ kept in a small cache: a run of equal steps evaluates eta and exp once.
 eta must therefore be a pure function of u.  Complex transforms use
 ``scipy.fft``: faster, and on complex input bit-identical to
 ``numpy.fft`` from numpy 2, which moved to the same C++ pocketfft (the
-tests compare the two).
+tests compare the two).  A branch of a cutoff spectrum evolves the same
+way at its branch mass, which ``evolve_modified`` reads from the given
+``SpectrumSolution`` without solving the spectrum again.
 
 For the pure-jump relativistic process the same generator has the
 integro-differential form
@@ -160,23 +162,22 @@ def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFuncti
     return WaveFunction.from_samples(psi.grid, values, normalize=False)
 
 
-def evolve_modified(psi: WaveFunction, dt: float, base: ExponentParams,
-                    solution: SpectrumSolution, branch: int) -> WaveFunction:
+def evolve_modified(psi: WaveFunction, dt: float, spectrum: SpectrumSolution,
+                    branch: int) -> WaveFunction:
     """Free step on one mass branch of a cutoff spectrum.
 
-    The branch root x_i re-scales every natural-unit parameter to the
-    branch mass M = m sqrt(x_i), i.e. a_M = tau_M = 1/M.  The branch
-    exponent is the same object for equal branch parameters, so repeated
-    steps reuse one cached multiplier.
+    The branch mass M = m sqrt(x_i) is read from the spectrum and
+    re-scales every natural-unit parameter, i.e. a_M = tau_M = 1/M.  The
+    branch exponent is the same object for equal branch parameters, so
+    repeated steps reuse one cached multiplier.
     """
-    if not 0 <= branch < len(solution.roots):
+    if not 0 <= branch < len(spectrum.roots):
         raise IndexError(f"branch {branch} outside spectrum of "
-                         f"{len(solution.roots)} roots")
-    flag = solution.flags[branch]
+                         f"{len(spectrum.roots)} roots")
+    flag = spectrum.flags[branch]
     if not (flag.real and flag.positive):
         raise ValueError(f"branch {branch} is not a real positive root")
-    m_branch = base.m * math.sqrt(solution.roots[branch])
-    params = ExponentParams.from_mass(m_branch)
+    params = ExponentParams.from_mass(spectrum.masses[branch])
     return evolve_spectral(psi, dt, LogCharacteristic.relativistic(params),
                            params.tau)
 

@@ -8,7 +8,9 @@ whose poles sit exactly at p^2 = m^2 x_i for the spectrum roots
 g(x_i) = 1, with residue 1/g'(x_i) in the p^2 variable.  The spinor
 propagator rationalizes into two additive scalar structures sharing
 that denominator; only the two invariant coefficients are carried here,
-no gamma-matrix algebra.
+no gamma-matrix algebra.  Pole finding and the loop sweep take a solved
+``SpectrumSolution`` and do not solve it again, so the poles, their
+fits and the loop's break points share one set of roots.
 
 The ultraviolet behaviour of the one-loop self-energy is probed by a
 scalarized Euclidean radial proxy: Wick-rotate (k^2 -> -kE^2, so
@@ -38,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .spectrum import (CutoffPolynomial, SpectrumSolution, f_eval,
-                       masses_from_lambdas)
+from .spectrum import CutoffPolynomial, SpectrumSolution, f_eval
 
 LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
                  "modified-scalar", "modified-mass")
@@ -161,20 +162,22 @@ def dirac_propagator_scalarized(p2, m: float, c: CutoffPolynomial,
     return DiracScalarized(vector_coeff=vector, scalar_coeff=scalar)
 
 
-def find_poles(m: float, c: CutoffPolynomial, verify: bool = True,
-               fit_tol: float = 1e-6):
-    """Spectrum poles of the scalar propagator, certified by local fits.
+def find_poles(spectrum: SpectrumSolution, verify: bool = True,
+               fit_tol: float = 1e-6) -> tuple:
+    """Poles of the spectrum's scalar propagator, certified by local fits.
 
-    Returns (SpectrumSolution, tuple[PoleFit, ...]).  Each simple root
-    is probed at p^2 = m^2 x_i (1 + delta) for delta = +-{1,2,4,8}e-5 and
-    fitted to R/(p^2 - pole) + C with eps = 0; the fitted residue must
-    match 1/g'(x_i) (which is also the p^2-variable residue; the
-    x-variable residue carries the extra 1/m^2 Jacobian).
+    Returns one PoleFit per simple root of ``spectrum``, which is not
+    solved again; multiple roots have no residue and no fit.  Each
+    simple root is probed at p^2 = m^2 x_i (1 + delta) for
+    delta = +-{1,2,4,8}e-5 and fitted to R/(p^2 - pole) + C with
+    eps = 0; the fitted residue must match 1/g'(x_i) (which is also the
+    p^2-variable residue; the x-variable residue carries the extra 1/m^2
+    Jacobian).
     """
-    solution = masses_from_lambdas(c, m)
+    m, c = spectrum.base_mass, spectrum.coefficients
     fits = []
-    for x_root, flag, residue in zip(solution.roots, solution.flags,
-                                     solution.residues):
+    for x_root, flag, residue in zip(spectrum.roots, spectrum.flags,
+                                     spectrum.residues):
         if not flag.real or math.isnan(residue):
             continue
         pole = m ** 2 * x_root
@@ -200,7 +203,7 @@ def find_poles(m: float, c: CutoffPolynomial, verify: bool = True,
             raise RuntimeError(
                 f"pole verification failed at x = {x_root}: fit residual "
                 f"{residual:.2e}, residue mismatch {mismatch:.2e}")
-    return solution, tuple(fits)
+    return tuple(fits)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +235,15 @@ def _loop_integrand(k, pE, m, c, modified, mass_type):
     return k ** 3 * numer / denom
 
 
-def loop_integral(pE: float, m: float, c: CutoffPolynomial, cutoffs,
+def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
                   variants=LOOP_VARIANTS) -> LoopResult:
     """Cutoff sweep of the regularized self-energy proxy.
 
-    Integrates each [cutoff_j, cutoff_j+1] increment separately (so
-    increments are accurate relative to themselves, not to the bulk)
-    and accumulates; per-segment relative quadrature error < 1e-8.
+    The spectrum gives the base mass, the coefficients and, from its
+    masses, the quadrature break points.  Integrates each
+    [cutoff_j, cutoff_j+1] increment separately (so increments are
+    accurate relative to themselves, not to the bulk) and accumulates;
+    per-segment relative quadrature error < 1e-8.
     """
     cutoffs = np.asarray([float(v) for v in cutoffs])
     if cutoffs.size < 2 or cutoffs[0] <= 0:
@@ -251,11 +256,11 @@ def loop_integral(pE: float, m: float, c: CutoffPolynomial, cutoffs,
     if unknown:
         raise ValueError(f"unknown loop variants: {sorted(unknown)}")
 
+    m, c = spectrum.base_mass, spectrum.coefficients
     if any(v.startswith("modified") for v in variants):
         _check_euclidean_positivity(m, c, cutoffs[-1])
 
-    solution = masses_from_lambdas(c, m)
-    features = [pE] + [m * math.sqrt(x) for x in solution.roots if x > 0]
+    features = [pE] + [mass for mass in spectrum.masses if mass > 0]
 
     values = {}
     increments = {}

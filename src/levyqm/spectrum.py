@@ -21,6 +21,12 @@ roots ~ 1e10, where the raw closed form loses most of its digits to
 cancellation; the deflation and the exact residual matter for nearly
 coincident roots, which the closed form merges or displaces and plain
 Newton cannot resolve.
+
+A spectrum is one ``SpectrumSolution``: coefficients, base mass, roots,
+masses, residues and flags.  It has two constructors,
+``masses_from_lambdas`` (coefficients and base mass given) and
+``fit_masses`` (three target masses given), and every consumer takes
+the solution rather than solving again.
 """
 
 from __future__ import annotations
@@ -34,10 +40,6 @@ import numpy as np
 DEGENERATE_GPRIME = 1e-12
 NEAR_COINCIDENT_RATIO = 1e-6
 ROOT_CERTIFICATE = 1e-9
-
-
-class DegenerateRootError(RuntimeError):
-    """g'(x) vanished at a root: multiple pole, residue undefined."""
 
 
 class NearDegenerateRootsWarning(UserWarning):
@@ -97,13 +99,18 @@ class RootFlags:
 
 @dataclass(frozen=True)
 class SpectrumSolution:
-    """Real roots of g(x) = 1 with masses, residues and physicality flags.
+    """The spectrum of one cutoff: coefficients, base mass and real roots.
 
-    Complex-conjugate root pairs are reported through ``n_complex`` and
-    the (sign-faithful, magnitude-rescaled) ``discriminant``; degenerate
-    roots set ``degenerate`` and leave their residue as NaN.
+    Built only by ``masses_from_lambdas`` and ``fit_masses``, and handed
+    as is to every consumer (poles, loop cut points, mass branches), so
+    a run solves its spectrum once.  Complex-conjugate root pairs are
+    reported through ``n_complex`` and the (sign-faithful,
+    magnitude-rescaled) ``discriminant``; degenerate roots set
+    ``degenerate`` and leave their residue as NaN.
     """
 
+    coefficients: CutoffPolynomial
+    base_mass: float
     roots: tuple
     masses: tuple
     residues: tuple
@@ -111,10 +118,11 @@ class SpectrumSolution:
     discriminant: float | None
     degenerate: bool
     n_complex: int
-    base_mass: float | None = None
 
     def to_dict(self) -> dict:
         return {
+            "lambdas": list(self.coefficients.as_tuple()),
+            "base_mass": self.base_mass,
             "roots": list(self.roots),
             "masses": list(self.masses),
             "residues": list(self.residues),
@@ -126,7 +134,6 @@ class SpectrumSolution:
             "discriminant": self.discriminant,
             "degenerate": self.degenerate,
             "n_complex": self.n_complex,
-            "base_mass": self.base_mass,
         }
 
 
@@ -277,32 +284,28 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def roots_from_lambdas(c: CutoffPolynomial) -> SpectrumSolution:
-    """Real solutions of g(x) = 1: closed form, deflation, Newton polishing.
+def _real_roots(c: CutoffPolynomial):
+    """(roots, discriminant, n_complex) of g(x) = 1, uncertified.
 
-    Complex-conjugate pairs are reported as absent (``n_complex``) with
-    the discriminant attached; a vanished leading coefficient reduces
-    the degree instead of failing.
+    Closed form, deflation, Newton polishing.  Complex-conjugate pairs
+    are reported as absent (``n_complex``) with the discriminant
+    attached; a vanished leading coefficient reduces the degree instead
+    of failing.
     """
     l1, l2, l3 = c.lambda1, c.lambda2, c.lambda3
 
     if l3 == 0.0 and l2 == 0.0:
-        if l1 == 1.0:
-            return _solution_from_roots([], c, discriminant=None, n_complex=0)
-        return _solution_from_roots([1.0 / (1.0 - l1)], c, discriminant=None,
-                                    n_complex=0)
+        return ([] if l1 == 1.0 else [1.0 / (1.0 - l1)]), None, 0
 
     if l3 == 0.0:
         # l2 x^2 + (l1-1) x + 1 = 0, stable two-root formula
         disc = (l1 - 1.0) ** 2 - 4.0 * l2
         if disc < 0.0:
-            return _solution_from_roots([], c, discriminant=disc, n_complex=2)
+            return [], disc, 2
         sq = math.sqrt(disc)
         b = l1 - 1.0
         qq = -0.5 * (b + math.copysign(sq, b))
-        roots = [qq / l2, 1.0 / qq]
-        roots = [_newton_polish(x, c) for x in roots]
-        return _solution_from_roots(roots, c, discriminant=disc, n_complex=0)
+        return [_newton_polish(x, c) for x in (qq / l2, 1.0 / qq)], disc, 0
 
     # One root from the closed form, the best-conditioned one; the other
     # two from the quadratic left by dividing it out.  Near-coincident
@@ -321,116 +324,85 @@ def roots_from_lambdas(c: CutoffPolynomial) -> SpectrumSolution:
     # roots: l3^2 disc_q ((r - a)(r - b))^2
     disc = l3 * l3 * disc_q * ((r - total) * r + prod) ** 2
     if disc_q < 0.0:
-        return _solution_from_roots([r], c, discriminant=disc, n_complex=2)
+        return [r], disc, 2
     big = 0.5 * (total + math.copysign(math.sqrt(disc_q), total))
-    roots = [r, _newton_polish(big, c), _newton_polish(prod / big, c)]
-    return _solution_from_roots(roots, c, discriminant=disc, n_complex=0)
+    return [r, _newton_polish(big, c), _newton_polish(prod / big, c)], disc, 0
 
 
-def _solution_from_roots(roots, c, discriminant, n_complex,
-                         base_mass=None, multiple=()) -> SpectrumSolution:
+def _solution_from_roots(c, base_mass, roots, discriminant, n_complex,
+                         multiple=()) -> SpectrumSolution:
     """Masses, residues and flags at certified roots.
 
     A root is multiple, with no residue, when it is listed in
-    ``multiple`` or when |g'(x)| < DEGENERATE_GPRIME.
+    ``multiple`` or when |x g'(x)| < DEGENERATE_GPRIME.  At a root of the
+    cubic, x_i g'(x_i) = -prod_{j != i} (x_i / x_j - 1): unlike a bound
+    on g' alone, the test does not change when the roots are rescaled.
     """
     roots = sorted(roots)
-    degenerate = False
-    residues = []
-    flags = []
-    masses = []
+    residues, flags = [], []
     for x in roots:
         if not _certified(x, c):
             raise RuntimeError(f"root certificate violated at x={x!r}")
         gp = g_prime(x, c)
-        if x in multiple or abs(gp) < DEGENERATE_GPRIME:
-            degenerate = True
-            residues.append(math.nan)
-            flags.append(RootFlags(real=True, positive=x > 0.0,
-                                   residue_positive=None))
-        else:
-            r = 1.0 / gp
-            residues.append(r)
-            flags.append(RootFlags(real=True, positive=x > 0.0,
-                                   residue_positive=r > 0.0))
-        if base_mass is not None:
-            masses.append(base_mass * math.sqrt(x) if x > 0.0 else math.nan)
+        simple = x not in multiple and abs(x * gp) >= DEGENERATE_GPRIME
+        r = 1.0 / gp if simple else math.nan
+        residues.append(r)
+        flags.append(RootFlags(real=True, positive=x > 0.0,
+                               residue_positive=r > 0.0 if simple else None))
     return SpectrumSolution(
+        coefficients=c,
+        base_mass=base_mass,
         roots=tuple(roots),
-        masses=tuple(masses),
+        masses=tuple(base_mass * math.sqrt(x) if x > 0.0 else math.nan
+                     for x in roots),
         residues=tuple(residues),
         flags=tuple(flags),
         discriminant=discriminant,
-        degenerate=degenerate,
+        degenerate=any(math.isnan(r) for r in residues),
         n_complex=n_complex,
-        base_mass=base_mass,
     )
 
 
-def residues(c: CutoffPolynomial, roots) -> tuple:
-    """Pole residues 1/g'(x_i) at simple roots; degenerate roots raise."""
-    out = []
-    for x in roots:
-        gp = g_prime(x, c)
-        if abs(gp) < DEGENERATE_GPRIME:
-            raise DegenerateRootError(
-                f"|g'({x})| = {abs(gp):.3e} < {DEGENERATE_GPRIME}: multiple root")
-        out.append(1.0 / gp)
-    return tuple(out)
-
-
-def resolve_base_mass(masses: MassTriple, base="lightest") -> float:
-    """Base-mass policy: the lightest family member by default."""
-    if base == "lightest":
-        return masses.m1
-    m = float(base)
-    if m <= 0:
-        raise ValueError("explicit base mass must be positive")
-    return m
-
-
-def lambdas_from_masses(masses: MassTriple, base="lightest") -> CutoffPolynomial:
-    """Cutoff coefficients reproducing three target masses.
-
-    With the default policy the lightest mass anchors the base scale,
-    so x1 = 1 exactly and l1 = -(1/x2 + 1/x3) up to the constant shift.
-    """
-    _, xs = _target_roots(masses, base)
-    return lambdas_from_roots(*xs)
-
-
-def _target_roots(masses: MassTriple, base) -> tuple[float, list]:
-    """Base mass m and the roots x_i = (m_i / m)^2 that give the masses."""
-    m = resolve_base_mass(masses, base)
-    return m, [(mass / m) ** 2 for mass in masses.as_tuple()]
-
-
-def fit_masses(masses: MassTriple,
-               base="lightest") -> tuple[CutoffPolynomial, SpectrumSolution]:
-    """(coefficients, spectrum) for three target masses.
-
-    Distinct masses: the spectrum is solved back from the coefficients,
-    a round trip.  Exactly coincident masses are a multiple pole, but
-    rounding the coefficients splits a double root or turns it into a
-    complex pair, so the solve-back would report whatever the rounding
-    did.  They are flagged from the input instead: the spectrum is the
-    target roots themselves, degenerate, with no residue at the repeated
-    root, whatever g' of the rounded coefficients is there.
-    """
-    m, xs = _target_roots(masses, base)
-    c = lambdas_from_roots(*xs)
-    values = masses.as_tuple()
-    repeated = {x for x, mass in zip(xs, values) if values.count(mass) > 1}
-    if not repeated:
-        return c, masses_from_lambdas(c, m)
-    return c, _solution_from_roots(xs, c, discriminant=0.0, n_complex=0,
-                                   base_mass=m, multiple=repeated)
-
-
 def masses_from_lambdas(c: CutoffPolynomial, m: float) -> SpectrumSolution:
-    """Full spectrum for base mass m: roots, masses, residues, flags."""
+    """Spectrum of the coefficients c at base mass m, solved once."""
     if m <= 0:
         raise ValueError("base mass must be positive")
-    sol = roots_from_lambdas(c)
-    return _solution_from_roots(list(sol.roots), c, sol.discriminant,
-                                sol.n_complex, base_mass=m)
+    return _solution_from_roots(c, m, *_real_roots(c))
+
+
+def fit_masses(masses: MassTriple, base="lightest") -> SpectrumSolution:
+    """Spectrum whose masses are the three targets.
+
+    The base mass m is the lightest target by default, else ``base``;
+    the roots are x_i = (m_i / m)^2 and the coefficients follow from
+    them in closed form.  Distinct masses: the spectrum is solved back
+    from the coefficients, and the solved masses must match the targets
+    to ROOT_CERTIFICATE, else ValueError; a base far below the masses
+    leaves too few digits in the coefficients for the round trip.
+    Exactly coincident masses are a multiple pole, but rounding the
+    coefficients splits a double root or turns it into a complex pair,
+    so the solve-back would report whatever the rounding did.  They are
+    flagged from the input instead: the spectrum is the target roots
+    themselves, degenerate, with no residue at the repeated root.
+    """
+    m = masses.m1 if base == "lightest" else float(base)
+    if m <= 0:
+        raise ValueError("explicit base mass must be positive")
+    values = masses.as_tuple()
+    xs = [(mass / m) ** 2 for mass in values]
+    c = lambdas_from_roots(*xs)
+    repeated = {x for x, mass in zip(xs, values) if values.count(mass) > 1}
+    if repeated:
+        return _solution_from_roots(c, m, xs, discriminant=0.0, n_complex=0,
+                                    multiple=repeated)
+    solution = masses_from_lambdas(c, m)
+    err = math.inf
+    if len(solution.masses) == 3:
+        err = max(abs(got / want - 1.0)
+                  for got, want in zip(solution.masses, values))
+    if not err <= ROOT_CERTIFICATE:
+        raise ValueError(
+            f"base mass {m:g}: the solved masses miss the targets by "
+            f"{err:.1e} relative, above {ROOT_CERTIFICATE:g}; choose a base "
+            "mass nearer the masses")
+    return solution

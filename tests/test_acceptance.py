@@ -22,9 +22,8 @@ from levyqm.evolution import (WaveFunction, evolve_jump_quadrature,
 from levyqm.presets import PRESET_MASSES
 from levyqm.propagators import find_poles, loop_integral
 from levyqm.sampler import SeededGenerator, ks_validate, sample_endpoints
-from levyqm.spectrum import (MassTriple, lambdas_from_masses,
-                             lambdas_from_roots, masses_from_lambdas,
-                             roots_from_lambdas)
+from levyqm.spectrum import (MassTriple, fit_masses, lambdas_from_roots,
+                             masses_from_lambdas)
 
 UNIT = ExponentParams.from_mass(1.0)
 ETA = LogCharacteristic.relativistic(UNIT)
@@ -55,8 +54,7 @@ def test_02_spectrum_round_trip():
     ok = True
     for name, masses in PRESET_MASSES.items():
         triple = MassTriple.from_values(masses)
-        c = lambdas_from_masses(triple)
-        sol = masses_from_lambdas(c, triple.m1)
+        sol = fit_masses(triple)
         ok &= all(abs(got / want - 1.0) < 1e-6
                   for got, want in zip(sol.masses, triple.as_tuple()))
 
@@ -67,7 +65,7 @@ def test_02_spectrum_round_trip():
         if xs[1] / xs[0] < 1.001 or xs[2] / xs[1] < 1.001:
             continue
         count += 1
-        sol = roots_from_lambdas(lambdas_from_roots(*xs))
+        sol = masses_from_lambdas(lambdas_from_roots(*xs), 1.0)
         ok &= len(sol.roots) == 3
         ok &= all(abs(got / want - 1.0) < 1e-10
                   for got, want in zip(sol.roots, xs))
@@ -148,8 +146,7 @@ def test_06_propagator_poles():
     worst_pole = worst_residue = 0.0
     for name, masses in PRESET_MASSES.items():
         triple = MassTriple.from_values(masses)
-        c = lambdas_from_masses(triple)
-        _, fits = find_poles(triple.m1, c)
+        fits = find_poles(fit_masses(triple))
         for fit, mass in zip(fits, triple.as_tuple()):
             worst_pole = max(worst_pole, abs(fit.p2_pole / mass ** 2 - 1.0))
             worst_residue = max(worst_residue, fit.residue_mismatch)
@@ -161,18 +158,18 @@ def test_06_propagator_poles():
 def test_07_loop_convergence_dichotomy():
     start = time.perf_counter()
     triple = MassTriple.from_values(PRESET_MASSES["table3"])
-    c = lambdas_from_masses(triple)
+    spectrum = fit_masses(triple)
     m = triple.m1
 
     log_sweep = m * np.geomspace(1e2, 1e6, 13)
-    unmod = loop_integral(m, m, c, log_sweep,
+    unmod = loop_integral(m, spectrum, log_sweep,
                           variants=("unmodified-scalar",))
     fit = unmod.tail_fits["unmodified-scalar"]
     ok = fit.log_r2 > 0.999 and fit.log_slope > 0
 
     base = 100.0 * triple.m3
     octaves = base * 2.0 ** np.arange(0, 7)
-    mod = loop_integral(m, m, c, octaves,
+    mod = loop_integral(m, spectrum, octaves,
                         variants=("modified-scalar", "modified-mass"))
     scalar_ratios = mod.tail_fits["modified-scalar"].octave_ratios
     mass_ratios = mod.tail_fits["modified-mass"].octave_ratios

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ def test_reproduce_tables(tmp_path, capsys):
     payload = load_json(out)
     assert payload["passed"] == 5 and payload["total"] == 5
     assert "5/5 rows pass" in capsys.readouterr().out
+    assert all(r["mass_roundtrip_rel_err"] < 1e-15 for r in payload["rows"])
 
 
 def test_spectrum_fit_reference_row(tmp_path):
@@ -81,6 +83,38 @@ def test_repeated_masses_are_degenerate(tmp_path, capsys, masses, base):
     assert load_json(fit)["degenerate"] is True
     poles = load_json(tmp_path / "p.csv.meta.json")["poles"]
     assert poles == {k: v for k, v in load_json(fit).items() if k in poles}
+
+
+@pytest.mark.parametrize("masses", ["1,1,2", "1,1,10", "0.5,0.5,3"])
+def test_pole_fits_sit_on_the_reported_roots(tmp_path, masses):
+    # the fits and the poles record come from one spectrum: no fit at a
+    # root that the rounded coefficients split off the repeated one
+    out = tmp_path / "p.csv"
+    with pytest.warns(UserWarning):
+        assert main(["propagator", "--masses", masses, "--points", "16",
+                     "-o", str(out)]) == 3
+    meta = load_json(tmp_path / "p.csv.meta.json")
+    assert meta["pole_fits"]
+    for fit in meta["pole_fits"]:
+        assert fit["root"] in meta["poles"]["roots"]
+
+
+@pytest.mark.parametrize("masses,base,code", [
+    ("1,2,3", "1e-3", 0), ("1,2,3", "1e-4", 2), ("1,2,3", "1e-6", 2),
+    ("1,1,1", "1e-6", 3)])
+def test_spectrum_fit_far_base(tmp_path, capsys, masses, base, code):
+    # the multiplicity test is scale-invariant, and a base so far below
+    # the masses that the round trip loses digits is a domain error
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(["spectrum", "fit", "--masses", masses, "--base", base,
+                     "-o", str(out)]) == code
+    if code == 2:
+        assert f"base mass {float(base):g}" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert load_json(out)["degenerate"] is (code == 3)
 
 
 @pytest.mark.parametrize("masses", ["1,1,2", "1,1,10", "0.5,0.5,3"])
@@ -234,6 +268,11 @@ def test_simulate_validation_report(tmp_path):
                                                     abs=1e-15)
     assert cols["endpoint"].var() == pytest.approx(meta["summary"]["variance"],
                                                    rel=1e-12)
+    # the law's moments at m = t = 1: variance 1, kurtosis 3 + 3 = 6
+    summary = meta["summary"]
+    assert summary["law_variance"] == pytest.approx(1.0, rel=1e-9)
+    assert summary["law_kurtosis"] == pytest.approx(6.0, rel=1e-6)
+    assert summary["kurtosis"] == pytest.approx(6.0, rel=0.2)
 
 
 def test_simulate_full_paths(tmp_path):
@@ -247,6 +286,18 @@ def test_simulate_full_paths(tmp_path):
     np.testing.assert_array_equal(paths["path"], np.repeat([0.0, 1.0, 2.0], 9))
     np.testing.assert_array_equal(paths["t"], np.tile(np.linspace(0, 1, 9), 3))
     assert not paths["x"][::9].any()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--mass", "1"], ["levy-measure", "--mass", "1"],
+    ["propagator", "--preset", "table3"]], ids=lambda argv: argv[0])
+def test_points_must_be_at_least_one(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--points", "0", "-o", str(out)])
+    assert exit_.value.code == 2
+    assert "--points: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--steps", "--paths"])

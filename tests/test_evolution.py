@@ -209,7 +209,7 @@ def three_branch_solution():
 def test_branch_identity(three_branch_solution):
     _, sol = three_branch_solution
     psi = gaussian_packet(0.0, 1.0, 1.0, packet_grid())
-    via_branch = evolve_modified(psi, 0.5, UNIT, sol, branch=0)
+    via_branch = evolve_modified(psi, 0.5, sol, branch=0)
     direct = evolve_spectral(psi, 0.5, ETA, UNIT.tau)
     assert np.max(np.abs(via_branch.values - direct.values)) < 1e-13
 
@@ -218,7 +218,7 @@ def test_branch_norm_conserved(three_branch_solution):
     _, sol = three_branch_solution
     psi = gaussian_packet(0.0, 1.0, 1.0, packet_grid())
     for branch in range(3):
-        evolved = evolve_modified(psi, 1.0, UNIT, sol, branch)
+        evolved = evolve_modified(psi, 1.0, sol, branch)
         assert abs(observables(evolved).norm - 1.0) < 1e-10
 
 
@@ -232,7 +232,7 @@ def test_heavier_branch_disperses_slower(three_branch_solution):
     horizon = 120.0
 
     def rate(branch):
-        evolved = evolve_modified(psi, horizon, UNIT, sol, branch)
+        evolved = evolve_modified(psi, horizon, sol, branch)
         return (observables(evolved).variance - var0) / horizon ** 2
 
     ratio = rate(1) / rate(0)
@@ -243,7 +243,7 @@ def test_branch_index_errors(three_branch_solution):
     _, sol = three_branch_solution
     psi = gaussian_packet(0.0, 0.0, 1.0, packet_grid())
     with pytest.raises(IndexError):
-        evolve_modified(psi, 0.1, UNIT, sol, branch=5)
+        evolve_modified(psi, 0.1, sol, branch=5)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_branch_steps_evaluate_eta_once(monkeypatch, three_branch_solution):
     _, sol = three_branch_solution
     psi = gaussian_packet(0.0, 1.0, 1.0, packet_grid())
     for _ in range(50):
-        psi = evolve_modified(psi, 0.05, UNIT, sol, branch=1)
+        psi = evolve_modified(psi, 0.05, sol, branch=1)
     assert counted.calls == 1
 
 
@@ -304,7 +304,7 @@ def test_multiplier_cache_keys_on_dt_grid_and_branch(three_branch_solution):
             assert got.values.tobytes() == want.tobytes()
         for branch in (0, 1, 2, 1):
             params = ExponentParams.from_mass(math.sqrt(sol.roots[branch]))
-            got = evolve_modified(psi, 0.05, UNIT, sol, branch)
+            got = evolve_modified(psi, 0.05, sol, branch)
             want = uncached_step(psi.values, grid, 0.05,
                                  lambda u: eta_relativistic(u, params),
                                  params.tau)

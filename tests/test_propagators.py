@@ -5,7 +5,7 @@ from levyqm.presets import PRESET_MASSES
 from levyqm.propagators import (NonpositiveDenominatorError,
                                 dirac_propagator_scalarized, find_poles,
                                 kg_propagator, loop_integral)
-from levyqm.spectrum import (CutoffPolynomial, MassTriple, lambdas_from_masses,
+from levyqm.spectrum import (CutoffPolynomial, MassTriple, fit_masses,
                              masses_from_lambdas)
 
 ZERO = CutoffPolynomial.zero()
@@ -14,7 +14,7 @@ ZERO = CutoffPolynomial.zero()
 @pytest.fixture(scope="module")
 def table3():
     masses = MassTriple.from_values(PRESET_MASSES["table3"])
-    return lambdas_from_masses(masses), masses
+    return fit_masses(masses), masses
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +39,8 @@ def test_kg_domain():
 
 
 def test_kg_peak_scan_locates_squared_masses(table3):
-    c, masses = table3
-    m = masses.m1
+    spectrum, masses = table3
+    c, m = spectrum.coefficients, masses.m1
     eps = 1e-9 * m ** 2
     for target in masses.as_tuple():
         pole = target ** 2
@@ -50,8 +50,8 @@ def test_kg_peak_scan_locates_squared_masses(table3):
 
 
 def test_scan_points_finite_away_from_poles(table3):
-    c, masses = table3
-    m = masses.m1
+    spectrum, masses = table3
+    c, m = spectrum.coefficients, masses.m1
     eps = 1e-9 * m ** 2
     p2 = np.linspace(0.0, 4.0, 257)
     values = kg_propagator(p2, m, c, eps)
@@ -75,9 +75,8 @@ def test_dirac_ratio_is_local_mass():
 
 
 def test_dirac_on_pole_ratio_is_branch_mass(table3):
-    c, masses = table3
-    m = masses.m1
-    sol = masses_from_lambdas(c, m)
+    sol, masses = table3
+    c, m = sol.coefficients, masses.m1
     for x, branch_mass in zip(sol.roots, sol.masses):
         d = dirac_propagator_scalarized(m ** 2 * x, m, c, 1e-9 * m ** 2)
         ratio = d.scalar_coeff / d.vector_coeff
@@ -92,7 +91,8 @@ def test_dirac_imaginary_local_mass_reported():
 
 
 def test_find_poles_free_theory():
-    sol, fits = find_poles(1.0, ZERO)
+    sol = masses_from_lambdas(ZERO, 1.0)
+    fits = find_poles(sol)
     assert sol.roots == (1.0,)
     assert fits[0].p2_pole == pytest.approx(1.0)
     assert fits[0].fitted_residue == pytest.approx(1.0, rel=1e-9)
@@ -102,8 +102,7 @@ def test_find_poles_free_theory():
 @pytest.mark.parametrize("name", sorted(PRESET_MASSES))
 def test_find_poles_reference_rows(name):
     masses = MassTriple.from_values(PRESET_MASSES[name])
-    c = lambdas_from_masses(masses)
-    sol, fits = find_poles(masses.m1, c)
+    fits = find_poles(fit_masses(masses))
     assert len(fits) == 3
     for fit, mass in zip(fits, masses.as_tuple()):
         assert fit.p2_pole == pytest.approx(mass ** 2, rel=1e-6)
@@ -112,7 +111,8 @@ def test_find_poles_reference_rows(name):
 
 
 def test_find_poles_degenerate_diagnostic():
-    sol, fits = find_poles(1.0, CutoffPolynomial(-2.0, 3.0, -1.0))
+    sol = masses_from_lambdas(CutoffPolynomial(-2.0, 3.0, -1.0), 1.0)
+    fits = find_poles(sol)
     assert sol.degenerate
     assert fits == ()
 
@@ -122,10 +122,10 @@ def test_find_poles_degenerate_diagnostic():
 # ---------------------------------------------------------------------------
 
 def test_loop_unmodified_log_divergence(table3):
-    c, masses = table3
+    spectrum, masses = table3
     m = masses.m1
     cutoffs = m * np.geomspace(1e2, 1e6, 13)
-    res = loop_integral(m, m, c, cutoffs, variants=("unmodified-scalar",))
+    res = loop_integral(m, spectrum, cutoffs, variants=("unmodified-scalar",))
     fit = res.tail_fits["unmodified-scalar"]
     assert fit.log_r2 > 0.999
     assert fit.log_slope > 0
@@ -136,10 +136,10 @@ def test_loop_unmodified_log_divergence(table3):
 
 
 def test_loop_modified_scalar_quartic_tail(table3):
-    c, masses = table3
+    spectrum, masses = table3
     base = 100.0 * masses.m3
     cutoffs = base * 2.0 ** np.arange(0, 7)
-    res = loop_integral(masses.m1, masses.m1, c, cutoffs,
+    res = loop_integral(masses.m1, spectrum, cutoffs,
                         variants=("modified-scalar",))
     fit = res.tail_fits["modified-scalar"]
     for ratio in fit.octave_ratios:
@@ -148,10 +148,10 @@ def test_loop_modified_scalar_quartic_tail(table3):
 
 
 def test_loop_modified_mass_linear_tail(table3):
-    c, masses = table3
+    spectrum, masses = table3
     base = 100.0 * masses.m3
     cutoffs = base * 2.0 ** np.arange(0, 7)
-    res = loop_integral(masses.m1, masses.m1, c, cutoffs,
+    res = loop_integral(masses.m1, spectrum, cutoffs,
                         variants=("modified-mass",))
     fit = res.tail_fits["modified-mass"]
     for ratio in fit.octave_ratios:
@@ -160,10 +160,10 @@ def test_loop_modified_mass_linear_tail(table3):
 
 
 def test_loop_modified_increments_strictly_decreasing(table3):
-    c, masses = table3
+    spectrum, masses = table3
     base = 10.0 * masses.m3
     cutoffs = base * 2.0 ** np.arange(0, 8)
-    res = loop_integral(masses.m1, masses.m1, c, cutoffs)
+    res = loop_integral(masses.m1, spectrum, cutoffs)
     for variant in ("modified-scalar", "modified-mass"):
         incs = res.increments[variant]
         assert np.all(np.diff(incs) < 0)
@@ -171,10 +171,10 @@ def test_loop_modified_increments_strictly_decreasing(table3):
 
 def test_loop_convergence_dichotomy(table3):
     # modified sweep is Cauchy, unmodified is not
-    c, masses = table3
+    spectrum, masses = table3
     base = 100.0 * masses.m3
     cutoffs = base * 2.0 ** np.arange(0, 6)
-    res = loop_integral(masses.m1, masses.m1, c, cutoffs)
+    res = loop_integral(masses.m1, spectrum, cutoffs)
     mod = res.increments["modified-scalar"]
     unmod = res.increments["unmodified-scalar"]
     assert mod[-1] < 1e-4 * mod[0]
@@ -183,11 +183,11 @@ def test_loop_convergence_dichotomy(table3):
 
 def test_loop_external_momentum_suppression(table3):
     # fixed cutoff, pE -> infinity: I ~ 1/pE^2 exactly
-    c, masses = table3
+    spectrum, masses = table3
     cutoffs = [1.0, 2.0]
     big, bigger = 100.0, 1000.0
-    r1 = loop_integral(big, masses.m1, c, cutoffs, variants=("modified-scalar",))
-    r2 = loop_integral(bigger, masses.m1, c, cutoffs, variants=("modified-scalar",))
+    r1 = loop_integral(big, spectrum, cutoffs, variants=("modified-scalar",))
+    r2 = loop_integral(bigger, spectrum, cutoffs, variants=("modified-scalar",))
     i1 = r1.values["modified-scalar"][-1]
     i2 = r2.values["modified-scalar"][-1]
     assert i1 * big ** 2 == pytest.approx(i2 * bigger ** 2, rel=1e-10)
@@ -198,7 +198,7 @@ def test_euclidean_denominator_positive_for_reference_rows():
     # monomial nonnegative after Wick rotation; verify numerically too
     for name in sorted(PRESET_MASSES):
         masses = MassTriple.from_values(PRESET_MASSES[name])
-        c = lambdas_from_masses(masses)
+        c = fit_masses(masses).coefficients
         assert c.lambda1 < 0 < c.lambda2 and c.lambda3 < 0
         m = masses.m1
         k = np.geomspace(1e-6 * m, 1e8 * m, 2000)
@@ -211,20 +211,21 @@ def test_loop_euclidean_positivity_guard():
     # positive lambda1 flips the Euclidean linear term negative
     c = CutoffPolynomial(5.0, 0.0, 0.0)
     with pytest.raises(NonpositiveDenominatorError) as err:
-        loop_integral(1.0, 1.0, c, [1.0, 2.0], variants=("modified-scalar",))
+        loop_integral(1.0, masses_from_lambdas(c, 1.0), [1.0, 2.0],
+                      variants=("modified-scalar",))
     assert err.value.location == pytest.approx(0.5, rel=0.05)
 
 
 def test_loop_validation_errors(table3):
-    c, masses = table3
+    spectrum, masses = table3
     with pytest.raises(ValueError):
-        loop_integral(1.0, masses.m1, c, [2.0, 1.0])
+        loop_integral(1.0, spectrum, [2.0, 1.0])
     with pytest.raises(ValueError):
-        loop_integral(-1.0, masses.m1, c, [1.0, 2.0])
+        loop_integral(-1.0, spectrum, [1.0, 2.0])
     with pytest.raises(ValueError):
-        loop_integral(1.0, masses.m1, c, [1.0, 2.0], variants=("bogus",))
+        loop_integral(1.0, spectrum, [1.0, 2.0], variants=("bogus",))
     with pytest.raises(ValueError):
-        loop_integral(1.0, masses.m1, c, [1.0])
+        loop_integral(1.0, spectrum, [1.0])
 
 
 def test_angular_average_identity_monte_carlo():

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyqm.presets import PRESET_MASSES, REFERENCE_LAMBDAS
-from levyqm.spectrum import (CutoffPolynomial, DegenerateRootError, MassTriple,
+from levyqm.spectrum import (CutoffPolynomial, MassTriple,
                              NearDegenerateRootsWarning, _certified, f_eval,
-                             fit_masses, g_eval, g_prime, lambdas_from_masses,
-                             lambdas_from_roots, masses_from_lambdas, residues,
-                             roots_from_lambdas)
+                             fit_masses, g_eval, g_prime, lambdas_from_roots,
+                             masses_from_lambdas)
 
 TABLE3 = CutoffPolynomial(-2.35e-5, 2.35e-5, -1.95e-12)
 TRIPLE = CutoffPolynomial(-2.0, 3.0, -1.0)
@@ -38,11 +37,11 @@ def test_g_eval_exact_coefficients_hit_one_at_roots():
     # while the root itself only moves by ~0.15% (|g'| ~ 1)
     x2 = (70.0 / 3.0) ** 2
     masses = MassTriple.from_values(PRESET_MASSES["table1a"])
-    exact = lambdas_from_masses(masses)
+    exact = fit_masses(masses).coefficients
     assert g_eval(x2, exact) == pytest.approx(1.0, abs=1e-9)
 
     printed = CutoffPolynomial(*REFERENCE_LAMBDAS["table1a"])
-    sol = roots_from_lambdas(printed)
+    sol = masses_from_lambdas(printed, 1.0)
     assert sol.roots[1] == pytest.approx(x2, rel=5e-3)
 
 
@@ -78,21 +77,21 @@ def test_lambdas_from_roots_domain():
 # ---------------------------------------------------------------------------
 
 def test_roots_all_zero_coefficients():
-    sol = roots_from_lambdas(CutoffPolynomial.zero())
+    sol = masses_from_lambdas(CutoffPolynomial.zero(), 1.0)
     assert sol.roots == (1.0,)
     assert sol.n_complex == 0
 
 
 def test_roots_round_trip_reference_scale():
     x = (1.0, 42704.0, 1.19979e7)
-    sol = roots_from_lambdas(lambdas_from_roots(*x))
+    sol = masses_from_lambdas(lambdas_from_roots(*x), 1.0)
     assert len(sol.roots) == 3
     for got, want in zip(sol.roots, x):
         assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_roots_triple_degenerate():
-    sol = roots_from_lambdas(TRIPLE)
+    sol = masses_from_lambdas(TRIPLE, 1.0)
     assert sol.degenerate
     assert sol.roots == (1.0, 1.0, 1.0)
     assert all(math.isnan(r) for r in sol.residues)
@@ -103,7 +102,7 @@ def test_roots_one_real_two_complex():
     # known negative discriminant
     c = CutoffPolynomial(lambda1=1.0, lambda2=0.0, lambda3=-1.0)
     # g(x) - 1 = x - x + x^3 - 1 = x^3 - 1 ... has single real root 1
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     assert sol.n_complex == 2
     assert sol.roots == (pytest.approx(1.0, rel=1e-12),)
     assert sol.discriminant < 0
@@ -113,7 +112,7 @@ def test_quadratic_degree_reduction():
     # lambda3 = 0: quadratic with two real roots
     full = lambdas_from_roots(2.0, 5.0, 1e8)
     c = CutoffPolynomial(full.lambda1, full.lambda2, 0.0)
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     assert len(sol.roots) == 2
     for x in sol.roots:
         assert g_eval(x, c) == pytest.approx(1.0, abs=1e-9)
@@ -122,7 +121,7 @@ def test_quadratic_degree_reduction():
 def test_quadratic_no_real_roots_is_diagnostic_not_error():
     c = CutoffPolynomial(lambda1=1.0, lambda2=1.0, lambda3=0.0)
     # x - x - x^2 = 1 has no real solution
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     assert sol.roots == ()
     assert sol.n_complex == 2
     assert sol.discriminant < 0
@@ -130,7 +129,7 @@ def test_quadratic_no_real_roots_is_diagnostic_not_error():
 
 def test_linear_case():
     c = CutoffPolynomial(lambda1=0.5, lambda2=0.0, lambda3=0.0)
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     assert sol.roots == (pytest.approx(2.0),)
 
 
@@ -172,7 +171,7 @@ def test_round_trip_property(exponents):
     if min(xs[1] / xs[0], xs[2] / xs[1]) < 1.0 + 1e-5:
         return
     c = lambdas_from_roots(*xs)
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     # Nearly coincident roots move by more than 1e-10 when the
     # coefficients are rounded, so the solver is held to the exact roots
     # of the float coefficients it received.
@@ -193,13 +192,14 @@ def test_discriminant_of_rescaled_cubic(xs):
     c = lambdas_from_roots(*xs)
     a, b, d = exact_real_roots(c)
     want = c.lambda3 ** 2 * ((a - b) * (a - d) * (b - d)) ** 2
-    assert roots_from_lambdas(c).discriminant == pytest.approx(want, rel=1e-5)
+    sol = masses_from_lambdas(c, 1.0)
+    assert sol.discriminant == pytest.approx(want, rel=1e-5)
 
 
 def test_round_trip_eleven_orders_of_magnitude():
     # widest realistic regime: root span ~1e10 against l3 ~ 1e-16
     xs = (1.0, 598044.44, 1.3026438e10)
-    sol = roots_from_lambdas(lambdas_from_roots(*xs))
+    sol = masses_from_lambdas(lambdas_from_roots(*xs), 1.0)
     assert len(sol.roots) == 3
     for got, want in zip(sol.roots, xs):
         assert got == pytest.approx(want, rel=1e-6)
@@ -208,7 +208,7 @@ def test_round_trip_eleven_orders_of_magnitude():
 def test_vieta_consistency():
     xs = (0.7, 13.0, 812.0)
     c = lambdas_from_roots(*xs)
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     x1, x2, x3 = sol.roots
     assert x1 + x2 + x3 == pytest.approx(-c.lambda2 / c.lambda3, rel=1e-9)
     assert x1 * x2 + x1 * x3 + x2 * x3 == pytest.approx(
@@ -218,8 +218,8 @@ def test_vieta_consistency():
 
 def test_root_certificate():
     for name in PRESET_MASSES:
-        c = lambdas_from_masses(MassTriple.from_values(PRESET_MASSES[name]))
-        sol = roots_from_lambdas(c)
+        c = fit_masses(MassTriple.from_values(PRESET_MASSES[name])).coefficients
+        sol = masses_from_lambdas(c, 1.0)
         for x in sol.roots:
             assert abs(g_eval(x, c) - 1.0) <= 1e-9 * max(1.0, x)
 
@@ -229,7 +229,7 @@ def test_certificate_scales_with_root_conditioning():
     # residual of ~0.7 at x = 1e8, a 7e-17 relative move of that root
     xs = (1.0, 1.0001, 1e8)
     c = lambdas_from_roots(*xs)
-    sol = roots_from_lambdas(c)
+    sol = masses_from_lambdas(c, 1.0)
     for got, want in zip(sol.roots, xs):
         assert got == pytest.approx(want, rel=1e-10)
     # l3 off by 1e-6 relative moves the far root by 1e-6 relative
@@ -251,20 +251,20 @@ def test_mass_triple_validation():
 
 @pytest.mark.parametrize("name", sorted(PRESET_MASSES))
 def test_reference_rows_lambda_reproduction(name):
-    c = lambdas_from_masses(MassTriple.from_values(PRESET_MASSES[name]))
+    c = fit_masses(MassTriple.from_values(PRESET_MASSES[name])).coefficients
     for got, want in zip(c.as_tuple(), REFERENCE_LAMBDAS[name]):
         assert got == pytest.approx(want, rel=5e-3)
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_MASSES))
 def test_sign_pattern(name):
-    c = lambdas_from_masses(MassTriple.from_values(PRESET_MASSES[name]))
+    c = fit_masses(MassTriple.from_values(PRESET_MASSES[name])).coefficients
     assert c.lambda1 < 0 and c.lambda2 > 0 and c.lambda3 < 0
 
 
 def test_masses_round_trip_full_precision():
     masses = PRESET_MASSES["table3"]
-    c = lambdas_from_masses(MassTriple.from_values(masses))
+    c = fit_masses(MassTriple.from_values(masses)).coefficients
     sol = masses_from_lambdas(c, masses[0])
     for got, want in zip(sol.masses, masses):
         assert got == pytest.approx(want, rel=1e-6)
@@ -272,11 +272,11 @@ def test_masses_round_trip_full_precision():
 
 def test_explicit_base_mass():
     masses = MassTriple(1.0, 2.0, 3.0)
-    c = lambdas_from_masses(masses, base=0.5)
+    c = fit_masses(masses, base=0.5).coefficients
     sol = masses_from_lambdas(c, 0.5)
     assert sol.roots[0] == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(ValueError):
-        lambdas_from_masses(masses, base=-1.0)
+        fit_masses(masses, base=-1.0)
 
 
 def test_masses_from_lambdas_zero_cutoff():
@@ -288,18 +288,12 @@ def test_masses_from_lambdas_zero_cutoff():
 
 
 def test_residues_against_finite_differences():
-    c = lambdas_from_masses(MassTriple.from_values(PRESET_MASSES["table3"]))
-    sol = roots_from_lambdas(c)
-    rs = residues(c, sol.roots)
-    for x, r in zip(sol.roots, rs):
+    c = fit_masses(MassTriple.from_values(PRESET_MASSES["table3"])).coefficients
+    sol = masses_from_lambdas(c, 1.0)
+    for x, r in zip(sol.roots, sol.residues):
         h = 1e-6 * max(1.0, abs(x))
         fd = (g_eval(x + h, c) - g_eval(x - h, c)) / (2.0 * h)
         assert r == pytest.approx(1.0 / fd, rel=1e-8)
-
-
-def test_residues_degenerate_error():
-    with pytest.raises(DegenerateRootError):
-        residues(TRIPLE, (1.0,))
 
 
 def test_degenerate_flagged_not_raised_in_masses():
@@ -322,9 +316,11 @@ def test_solution_serialization():
 @pytest.mark.parametrize("base", ["lightest", 0.25, 1000.0])
 def test_fit_flags_coincident_masses_from_the_input(masses, base):
     triple = MassTriple.from_values(masses)
+    m = triple.m1 if base == "lightest" else base
     with pytest.warns(NearDegenerateRootsWarning):
-        c, sol = fit_masses(triple, base)
-        assert c == lambdas_from_masses(triple, base)
+        sol = fit_masses(triple, base)
+        assert sol.coefficients == lambdas_from_roots(
+            *((v / m) ** 2 for v in triple.as_tuple()))
     assert sol.degenerate
     assert sol.n_complex == 0
     assert sol.masses == pytest.approx(masses, rel=1e-15)
@@ -334,5 +330,34 @@ def test_fit_flags_coincident_masses_from_the_input(masses, base):
 
 def test_fit_of_distinct_masses_is_the_solve_back():
     masses = MassTriple.from_values(PRESET_MASSES["table3"])
-    c, sol = fit_masses(masses)
-    assert sol == masses_from_lambdas(c, masses.m1)
+    sol = fit_masses(masses)
+    assert sol == masses_from_lambdas(sol.coefficients, masses.m1)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_multiplicity_test_is_scale_invariant(k):
+    # roots 2^k, 2^(k+1), 2^(k+2) have exact coefficients and the same
+    # x g'(x) at every k; at k = 40, g' itself is ~3e-13
+    xs = (2.0 ** k, 2.0 ** (k + 1), 2.0 ** (k + 2))
+    c = lambdas_from_roots(*xs)
+    sol = masses_from_lambdas(c, 1.0)
+    assert sol.roots == xs
+    assert not sol.degenerate
+    for x, r in zip(sol.roots, sol.residues):
+        assert r == 1.0 / g_prime(x, c)
+
+
+@pytest.mark.parametrize("base", [1e-3, 1.0, 1e3, 1e9])
+def test_fit_round_trips_the_target_masses(base):
+    masses = MassTriple(1.0, 2.0, 3.0)
+    sol = fit_masses(masses, base)
+    assert not sol.degenerate
+    assert sol.masses == pytest.approx(masses.as_tuple(), rel=1e-9)
+
+
+@pytest.mark.parametrize("base", [1e-4, 1e-6, 1e-8])
+def test_fit_rejects_a_base_that_loses_the_round_trip(base):
+    # far below the masses the coefficients keep too few digits: the
+    # solved masses miss by 1.9e-9 at 1e-4 and one root is lost at 1e-8
+    with pytest.raises(ValueError, match=f"base mass {base:g}"):
+        fit_masses(MassTriple(1.0, 2.0, 3.0), base)
