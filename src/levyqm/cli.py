@@ -145,24 +145,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _target_masses(args):
+    """The target masses of --preset or --masses; None when --lambdas
+    sets the spectrum."""
+    if args.preset:
+        return PRESET_MASSES[args.preset]
+    if args.masses and not args.lambdas:
+        return _parse_floats(args.masses, 3)
+    return None
+
+
 def _cutoff_from_args(args) -> SpectrumSolution:
     """The run's one spectrum, from --preset, --lambdas/--mass or --masses.
 
     Target masses go through fit_masses, so every command sees repeated
     masses as the degenerate spectrum that `spectrum fit` reports.
     """
-    if args.preset:
-        masses, base = PRESET_MASSES[args.preset], "lightest"
-    elif args.lambdas:
-        if args.mass is None:
-            raise ValueError("--lambdas requires --mass")
-        c = CutoffPolynomial(*_parse_floats(args.lambdas, 3))
-        return masses_from_lambdas(c, args.mass)
-    elif args.masses:
-        masses, base = _parse_floats(args.masses, 3), args.base
-    else:
+    targets = _target_masses(args)
+    if targets is not None:
+        base = "lightest" if args.preset else args.base
+        return fit_masses(MassTriple.from_values(targets), base=base)
+    if not args.lambdas:
         raise ValueError("supply --preset, --lambdas or --masses")
-    return fit_masses(MassTriple.from_values(masses), base=base)
+    if args.mass is None:
+        raise ValueError("--lambdas requires --mass")
+    c = CutoffPolynomial(*_parse_floats(args.lambdas, 3))
+    return masses_from_lambdas(c, args.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +312,11 @@ def cmd_loop(args) -> int:
     if args.cutoffs:
         cutoffs = np.asarray(_parse_floats(args.cutoffs))
     else:
-        top = max([mass] + [m for m in solution.masses if not math.isnan(m)])
+        # the targets when given, so that preset cutoffs read 177, 354, ...
+        # and not the solved masses' last-ulp round trip
+        heaviest = _target_masses(args) or [m for m in solution.masses
+                                             if not math.isnan(m)]
+        top = max([mass, *heaviest])
         cutoffs = 100.0 * top * 2.0 ** np.arange(0, args.octaves + 1)
     if args.variant == "all":
         variants = LOOP_VARIANTS

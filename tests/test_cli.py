@@ -253,6 +253,17 @@ def test_loop_preset_tail_exponent(tmp_path):
         assert 0.0 < err < 1e-8 * np.max(np.abs(column))
 
 
+def test_loop_preset_cutoffs_from_target_masses(tmp_path):
+    # 100 times the heaviest target, not its solved round trip
+    out = tmp_path / "loop.csv"
+    assert main(["loop", "--preset", "table3", "--variant", "scalar",
+                 "-o", str(out)]) == 0
+    cutoffs = load_json(tmp_path / "loop.csv.meta.json")["provenance"][
+        "parameters"]["cutoffs"]
+    assert cutoffs[0] == 100 * 1.77
+    assert read_csv_columns(out)["cutoff"][0] == 100 * 1.77
+
+
 def test_simulate_validation_report(tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--mass", "1", "--t", "1", "--paths", "20000",

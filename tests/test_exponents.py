@@ -9,6 +9,7 @@ from levyqm import (ExponentParams, LevyTriplet, LogCharacteristic,
                     QuadratureSpec, TailDivergenceError, eta_from_triplet,
                     eta_modified_branch, eta_relativistic, kinetic_energy)
 from levyqm.densities import relativistic_triplet
+from levyqm.exponents import QuadratureToleranceError
 
 UNIT = ExponentParams(a=1.0, tau=1.0, m=1.0)
 
@@ -143,6 +144,33 @@ def test_levy_khintchine_equivalence_sweep():
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("a", [0.35, 1.0, 3.0])
+def test_levy_khintchine_tight_sweep(a):
+    # relative 1e-9 down to u a = 1e-3, where cos(u x) - 1 cancels
+    p = ExponentParams(a=a, tau=1.0, m=1.0)
+    trip = relativistic_triplet(p)
+    policy = QuadratureSpec(tol=1e-9)
+    for ua in (1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
+        got = eta_from_triplet(ua / a, trip, policy)
+        want = eta_relativistic(ua / a, p)
+        assert abs(got / want - 1.0) <= 1e-9, (ua, got, want)
+
+
+def test_jump_density_called_on_arrays_a_few_times():
+    shapes = []
+
+    def density(x):
+        shapes.append(np.shape(x))
+        return relativistic_triplet(UNIT).jump_density(x)
+
+    trip = LevyTriplet(jump_density=density, scale=UNIT.a)
+    for u in (0.1, 1.0, 10.0):
+        shapes.clear()
+        eta_from_triplet(u, trip, QuadratureSpec(tol=1e-9))
+        assert 0 < len(shapes) <= 8, (u, shapes)
+        assert all(np.prod(shape) > 1 for shape in shapes), shapes
+
+
 def test_levy_khintchine_scales_with_a():
     p = ExponentParams(a=0.35, tau=1.0, m=1.0)
     trip = relativistic_triplet(p)
@@ -175,6 +203,13 @@ def test_unreachable_tolerance_raises():
     trip = relativistic_triplet(UNIT)
     with pytest.raises(QuadratureToleranceError):
         eta_from_triplet(1.0, trip, QuadratureSpec(tol=1e-16))
+
+
+def test_unconverged_panel_raises():
+    # ~160 oscillations of sin^2(u x / 2) on [0, a] exhaust tanh-sinh's levels
+    trip = relativistic_triplet(UNIT)
+    with pytest.raises(QuadratureToleranceError, match="did not converge"):
+        eta_from_triplet(1e3, trip, QuadratureSpec(tol=1e-9))
 
 
 def test_log_characteristic_wrappers():

@@ -182,6 +182,28 @@ def test_round_trip_property(exponents):
         assert got == pytest.approx(want, rel=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(pair=st.floats(min_value=-2.0, max_value=2.0),
+       gap=st.floats(min_value=-6.0, max_value=-1.0),
+       far=st.floats(min_value=2.0, max_value=12.0), above=st.booleans())
+# lambdas_from_roots(1.0, 1.0001, 1e8) once failed its own certificate
+@example(pair=0.0, gap=-4.0, far=8.0, above=True)
+@pytest.mark.filterwarnings("ignore::levyqm.spectrum.NearDegenerateRootsWarning")
+def test_far_root_near_pair_property(pair, gap, far, above):
+    # a pair 10^gap apart, relative, and a root 10^far above or below it:
+    # each solved root is an exact root of the float coefficients
+    x0 = 10.0 ** pair
+    xs = sorted([x0, x0 * (1.0 + 10.0 ** gap),
+                 x0 * 10.0 ** (far if above else -far)])
+    c = lambdas_from_roots(*xs)
+    sol = masses_from_lambdas(c, 1.0)
+    exact = exact_real_roots(c)
+    assert len(sol.roots) == len(exact)
+    assert (sol.discriminant > 0.0) == (len(exact) == 3)
+    for got, want in zip(sol.roots, exact):
+        assert got == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize("xs", [(1.0, 42704.0, 1.19979e7),
                                 (1.0, 1.00002, 1e6), (2.0, 1e5, 1.00001e5),
                                 (0.01, 0.0100002, 0.0100004)])
