@@ -145,6 +145,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _target_masses(args):
     """The target masses of --preset or --masses; None when --lambdas
     sets the spectrum."""
@@ -471,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_nonnegative_int, required=True)
     p.add_argument("--n", type=int, default=2 ** 12)
     p.add_argument("--dx", type=float, default=0.05)
     p.add_argument("--branch", type=int, default=None,
                    help="evolve on this spectrum branch (needs a cutoff source)")
-    p.add_argument("--snapshot-every", type=int, default=0)
+    p.add_argument("--snapshot-every", type=_nonnegative_int, default=0)
     _add_cutoff_source(p, with_base=False, with_mass=False)
     p.set_defaults(base="lightest")
 
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--full-paths", type=int, default=0,
+    p.add_argument("--full-paths", type=_nonnegative_int, default=0,
                    help="also write this many full trajectories")
 
     command(sub, cmd_reproduce_tables, "reproduce-tables",

@@ -187,10 +187,6 @@ class LogCharacteristic:
             return float(vals[0]) if np.ndim(u) == 0 else vals.reshape(np.shape(u))
         return cls(eval=_eval)
 
-    @classmethod
-    def modified_branch(cls, base: ExponentParams, root_x: float) -> "LogCharacteristic":
-        return cls(eval=lambda u: eta_modified_branch(u, base, root_x))
-
 
 # ---------------------------------------------------------------------------
 # exponents

@@ -122,15 +122,6 @@ class LoopResult:
     tail_fits: dict
     abserr: dict
 
-    def to_dict(self):
-        return {
-            "cutoffs": self.cutoffs.tolist(),
-            "values": {k: v.tolist() for k, v in self.values.items()},
-            "increments": {k: v.tolist() for k, v in self.increments.items()},
-            "tail_fits": {k: v.to_dict() for k, v in self.tail_fits.items()},
-            "abserr": dict(self.abserr),
-        }
-
 
 # ---------------------------------------------------------------------------
 # propagators

@@ -6,23 +6,23 @@ shape lam = a^2 (dt/tau)^2.  The Laplace transform of that S is
 exp((dt/tau)(1 - sqrt(1 + 2 a^2 s))) at argument s, so E exp(iuX) =
 E exp(-S u^2/2) = exp((dt/tau)(1 - sqrt(1 + a^2 u^2))): the
 subordinated form has exactly the required characteristic function,
-with O(1) cost per increment.
+with O(1) cost per increment: one plain numpy expression over a batch
+of normal and uniform draws.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream); distinct keys give non-overlapping sequences, and a
 fixed key reproduces byte-identical output on any platform.
 
-``sample_endpoints`` cuts the paths into tiles of TILE (the last one
-partial).  Tile b draws from the (seed, stream) Philox jumped b times,
-2^128 draws apart (Salmon et al., SC'11); tile 0 is that generator
-itself.  Inside a tile the steps run one after another, each drawing
-what ``sample_increment(dt, size=tile)`` draws, and are added in place
-into the tile's endpoints.  Memory is O(workers x TILE), not
-O(paths x steps), and since every tile sums its own paths in step order,
-the tiles can run on a thread pool (one worker per usable core) and the
-output bytes do not depend on the worker count.  TILE is part of this
-stream layout.  A plain numpy Generator is not jumped: its tiles draw
-from it in order, on one thread.
+``sample_endpoints`` takes a SeededGenerator and cuts the paths into
+tiles of TILE (the last one partial).  Tile b draws from the (seed,
+stream) Philox jumped b times, 2^128 draws apart (Salmon et al., SC'11);
+tile 0 is that generator itself.  Inside a tile the steps run one after
+another, each drawing what ``sample_increment(dt, size=tile)`` draws,
+and are added in step order into the tile's endpoints.  Memory is
+O(workers x TILE), not O(paths x steps), and since every tile sums its
+own paths in step order, the tiles can run on a thread pool (one worker
+per usable core) and the output bytes do not depend on the worker
+count.  TILE is part of this stream layout.
 """
 
 from __future__ import annotations
@@ -105,58 +105,33 @@ def _clock_law(dt: float, params: ExponentParams):
     return params.a ** 2 * ratio, params.a ** 2 * ratio ** 2
 
 
-def _workspace(dims):
-    """Scratch arrays (nu, u, z, root, tmp, keep) for draws of shape dims."""
-    return (*(np.empty(dims) for _ in range(5)), np.empty(dims, dtype=bool))
-
-
-def _inverse_gaussian(mean, shape, rng, ws):
-    """IG(mean, shape) draws by Michael-Schucany-Haas, of ws's shape.
+def _inverse_gaussian(mean, shape, rng, size):
+    """IG(mean, shape) draws by Michael-Schucany-Haas.
 
     One squared normal y and one uniform u per draw.  The smaller root
-    mean + mean^2 y/(2 shape) - (mean/(2 shape)) sqrt(4 mean shape y +
-    (mean y)^2) of the transformed quadratic is kept when u <= mean/(mean
-    + root), else mean^2/root.  The in-place steps below evaluate that
-    expression in its written order, so the bytes match the plain numpy
-    form; only the returned array is allocated.
+    of the transformed quadratic is kept when u <= mean/(mean + root),
+    else mean^2/root.  np.square is what ``** 2`` does on arrays; on the
+    floats of a scalar draw ``** 2`` calls pow, which is not always x * x.
     """
-    nu, u, _, root, tmp, keep = ws
-    rng.standard_normal(out=nu)
-    rng.random(out=u)
-    y = np.multiply(nu, nu, out=nu)
-    np.multiply(y, mean, out=tmp)
-    np.square(tmp, out=tmp)
-    np.multiply(y, 4.0 * mean * shape, out=root)
-    np.add(root, tmp, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    np.multiply(tmp, mean / (2.0 * shape), out=tmp)
-    np.multiply(y, mean * mean, out=root)
-    np.divide(root, 2.0 * shape, out=root)
-    np.add(root, mean, out=root)
-    np.subtract(root, tmp, out=root)
-    np.add(root, mean, out=tmp)
-    np.divide(mean, tmp, out=tmp)
-    np.less_equal(u, tmp, out=keep)
-    np.divide(mean * mean, root, out=tmp)
-    return np.where(keep, root, tmp)
+    nu, u = rng.standard_normal(size), rng.random(size)
+    y = nu * nu
+    root = (mean + mean * mean * y / (2.0 * shape)
+            - (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
+                                               + np.square(mean * y)))
+    return np.where(u <= mean / (mean + root), root, mean * mean / root)
 
 
-def _increment_into(mean, shape, rng, out, ws):
-    """Increments sqrt(S) Z into out, drawing nu, u, then z, as listed."""
-    clock = _inverse_gaussian(mean, shape, rng, ws)
-    z = ws[2]
-    rng.standard_normal(out=z)
-    np.sqrt(clock, out=out)
-    return np.multiply(out, z, out=out)
+def _increments(mean, shape, rng, size):
+    """Increments sqrt(S) Z, drawing nu, u, then z."""
+    clock = _inverse_gaussian(mean, shape, rng, size)
+    return np.sqrt(clock) * rng.standard_normal(size)
 
 
 def _endpoint_tile(mean, shape, steps, rng, out):
     """Sum of `steps` increments per path of one tile, added in step order."""
-    ws = _workspace(out.shape)
-    _increment_into(mean, shape, rng, out, ws)
-    inc = np.empty(out.shape)
+    out[:] = _increments(mean, shape, rng, out.shape)
     for _ in range(steps - 1):
-        out += _increment_into(mean, shape, rng, inc, ws)
+        out += _increments(mean, shape, rng, out.shape)
     return out
 
 
@@ -186,8 +161,7 @@ def sample_inverse_gaussian(mean: float, shape: float, g, size=None):
     """Inverse-Gaussian draw(s) by the Michael-Schucany-Haas transform."""
     if mean <= 0 or shape <= 0:
         raise ValueError("inverse-Gaussian mean and shape must be positive")
-    out = _inverse_gaussian(mean, shape, _as_generator(g),
-                            _workspace(() if size is None else size))
+    out = _inverse_gaussian(mean, shape, _as_generator(g), size)
     return float(out) if size is None else out
 
 
@@ -195,9 +169,7 @@ def sample_increment(dt: float, params: ExponentParams, g, size=None):
     """Time-dt increment(s) of the relativistic pure-jump process."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dims = () if size is None else size
-    out = _increment_into(*_clock_law(dt, params), _as_generator(g),
-                          np.empty(dims), _workspace(dims))
+    out = _increments(*_clock_law(dt, params), _as_generator(g), size)
     return float(out) if size is None else out
 
 
@@ -223,10 +195,8 @@ def sample_paths(T: float, steps: int, params: ExponentParams, g,
     rng = _as_generator(g)
     mean, shape = _clock_law(T / steps, params)
     positions = np.zeros((steps + 1, n_paths))
-    ws = _workspace(n_paths)
     for j in range(1, steps + 1):
-        _increment_into(mean, shape, rng, positions[j], ws)
-        positions[j] += positions[j - 1]
+        positions[j] = positions[j - 1] + _increments(mean, shape, rng, n_paths)
     return positions.T
 
 
@@ -235,25 +205,24 @@ def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
     """Endpoint draws X(T) for n_paths independent trajectories.
 
     Paths are cut into tiles of TILE; each tile sums its `steps`
-    increments in step order in place.  For a SeededGenerator, tile b
-    draws from its Philox jumped b times, and from four tiles' worth of
-    increments on, the tiles run on a thread pool; a plain numpy
-    Generator feeds its tiles in order on one thread.
+    increments in step order.  Tile b draws from the SeededGenerator's
+    Philox jumped b times, and from four tiles' worth of increments on,
+    the tiles run on a thread pool.
     """
+    if not isinstance(g, SeededGenerator):
+        raise TypeError("sample_endpoints draws its tiles from jumped (seed, "
+                        "stream) Philox streams; pass a SeededGenerator")
     _check_run(T, steps, n_paths)
     mean, shape = _clock_law(T / steps, params)
     out = np.empty(n_paths)
     tiles = [out[s:s + TILE] for s in range(0, n_paths, TILE)]
-    if isinstance(g, np.random.Generator):
-        rngs, workers = [g] * len(tiles), 1
-    else:
-        first = _as_generator(g)
-        rngs = [first] + [np.random.Generator(first.bit_generator.jumped(b))
-                          for b in range(1, len(tiles))]
-        # Below about four tiles of increments, starting the threads
-        # costs more than they save.
-        parallel = n_paths * steps >= 4 * TILE
-        workers = min(len(tiles), _worker_count()) if parallel else 1
+    first = g.generator()
+    rngs = [first] + [np.random.Generator(first.bit_generator.jumped(b))
+                      for b in range(1, len(tiles))]
+    # Below about four tiles of increments, starting the threads costs
+    # more than they save.
+    parallel = n_paths * steps >= 4 * TILE
+    workers = min(len(tiles), _worker_count()) if parallel else 1
 
     def run(rng, tile):
         return _endpoint_tile(mean, shape, steps, rng, tile)

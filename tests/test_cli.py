@@ -319,6 +319,30 @@ def test_simulate_rejects_zero_count(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--mass", "1", "--dt", "0.1", "--steps", "-1"], "--steps"),
+    (["evolve", "--mass", "1", "--dt", "0.1", "--steps", "2",
+      "--snapshot-every", "-1"], "--snapshot-every"),
+    (["simulate", "--mass", "1", "--full-paths", "-3"], "--full-paths"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_negative_count_is_rejected_at_parse_time(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["-o", str(out)])
+    assert exit_.value.code == 2
+    assert f"{flag}: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_zero_steps_writes_the_initial_row(tmp_path):
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--mass", "1", "--dt", "0.1", "--steps", "0",
+                 "-o", str(out)]) == 0
+    cols = read_csv_columns(out)
+    assert list(cols["t"]) == [0.0]
+    assert cols["norm"][0] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_simulate_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--mass", "1", "--t", "1", "--paths", "5000",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k1e
 
 from levyqm import ExponentParams, LogCharacteristic
 from levyqm.densities import (GridError, GridSpec, convolve,
@@ -116,6 +117,35 @@ def test_density_matches_closed_form(t):
         z = math.hypot(t, x[j])
         closed = (t / math.pi) * math.exp(t) * bessel_k(1, z) / z
         assert table.values[j] == pytest.approx(closed, rel=1e-10)
+
+
+def nig_density(x, dt, params):
+    """Exact increment law: normal-inverse-Gaussian with alpha = 1/a, beta = 0
+    and delta = a dt / tau, p(x) = alpha delta e^(alpha delta) K1(alpha r)
+    / (pi r) with r = sqrt(delta^2 + x^2), written with k1e so that it
+    cannot overflow."""
+    alpha, delta = 1.0 / params.a, params.a * dt / params.tau
+    r = np.hypot(delta, x)
+    return (alpha * delta / math.pi * k1e(alpha * r)
+            * np.exp(-alpha * (r - delta)) / r)
+
+
+@pytest.mark.parametrize("m, dt", [
+    (1.0, 1.0), (1.0, 0.3), (2.0, 1.0), (0.5, 2.0),
+    pytest.param(1.0, 1e-2, marks=pytest.mark.xfail(
+        strict=True, reason="small-dt aliasing: default_grid keeps n fixed "
+        "while dx shrinks, so the heavy tail wraps into the window "
+        "(ROADMAP open item on an honest transition density)")),
+])
+def test_density_matches_nig_law_on_the_whole_grid(m, dt):
+    params = ExponentParams.from_mass(m)
+    grid = default_grid(params, dt)
+    table = transition_density(dt, params,
+                               LogCharacteristic.relativistic(params), grid)
+    exact = nig_density(grid.x_centers(), dt, params)
+    diff = np.abs(table.values - exact)
+    assert np.sum(diff) * grid.dx <= 1e-12
+    assert diff.max() <= 1e-12 * exact.max()
 
 
 def test_chapman_kolmogorov(unit_density):

@@ -216,8 +216,6 @@ def test_log_characteristic_wrappers():
     eta = LogCharacteristic.relativistic(UNIT)
     u = np.array([0.0, 1.0, -1.0])
     assert np.allclose(eta(u), eta_relativistic(u, UNIT))
-    branch = LogCharacteristic.modified_branch(UNIT, 4.0)
-    assert branch(1.0) == eta_modified_branch(1.0, UNIT, 4.0)
     trip_eta = LogCharacteristic.from_triplet(relativistic_triplet(UNIT))
     assert trip_eta(1.0) == pytest.approx(eta(1.0), rel=1e-6)
     assert np.shape(trip_eta(np.array([0.5, 1.0]))) == (2,)

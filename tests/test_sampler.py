@@ -103,6 +103,10 @@ def test_seed_validation():
         SeededGenerator(2 ** 64)
     with pytest.raises(TypeError):
         sample_increment(1.0, UNIT, "not a generator")
+    # tiles draw from jumped (seed, stream) streams, which a plain
+    # Generator does not have
+    with pytest.raises(TypeError, match="pass a SeededGenerator"):
+        sample_endpoints(1.0, UNIT, SeededGenerator(2).generator(), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +192,6 @@ def test_output_does_not_depend_on_worker_count(monkeypatch):
         monkeypatch.setattr(sampler, "_worker_count", lambda w=workers: w)
         runs[workers] = sample_endpoints(*args, steps=4).tobytes()
     assert runs[1] == runs[2]
-
-
-def test_plain_generator_tiles_draw_in_order():
-    n, steps = TILE + 50, 2
-    ends = sample_endpoints(1.0, UNIT, SeededGenerator(2).generator(), n, steps)
-    rng = SeededGenerator(2).generator()
-    expected = np.concatenate([summed_increments(0.5, rng, TILE, steps),
-                               summed_increments(0.5, rng, 50, steps)])
-    assert ends.tobytes() == expected.tobytes()
 
 
 def test_endpoint_memory_is_bounded():
