@@ -302,7 +302,7 @@ def cmd_propagator(args) -> int:
     eps = args.eps if args.eps is not None else 1e-9 * mass ** 2
     p2 = np.linspace(args.p2_min, args.p2_max, args.points)
     values = kg_propagator(p2, mass, c, eps)
-    fits = find_poles(solution, verify=False)
+    fits = find_poles(solution)
     out = emit(args, {
         "poles": solution.to_dict(),
         "pole_fits": [dataclasses.asdict(f) for f in fits],
@@ -350,16 +350,16 @@ def cmd_simulate(args) -> int:
 
     paths_file = None
     if args.full_paths:
-        n_full = min(args.full_paths, args.paths)
         positions = sample_paths(
             args.t, args.steps, params,
-            SeededGenerator(seed=args.seed, stream=args.stream + 1), n_full)
+            SeededGenerator(seed=args.seed, stream=args.stream + 1),
+            args.full_paths)
         times = np.linspace(0.0, args.t, args.steps + 1)
         out = _output_path(args, ".csv")
         paths_file = out.with_name(out.stem + "_paths.csv")
         write_csv(paths_file, ["path", "t", "x"],
-                  [np.repeat(np.arange(n_full), args.steps + 1),
-                   np.tile(times, n_full), positions.ravel()])
+                  [np.repeat(np.arange(args.full_paths), args.steps + 1),
+                   np.tile(times, args.full_paths), positions.ravel()])
 
     eta = LogCharacteristic.relativistic(params)
     grid = default_grid(params, args.t)

@@ -14,12 +14,12 @@ integral
     eta(u) = -beta^2 u^2 / 2 + integral (cos(u x) - 1) W(x) dx,
 
 which is the consistency check tying the closed form to the jump
-picture.  ``eta_from_triplet`` evaluates it with vectorized tanh-sinh
-quadrature (``scipy.integrate.tanhsinh``) on doubling panels, calling
-W on arrays a few times per u.  The only special function needed
-anywhere is the modified Bessel function K_n for n = 0, 1, 2, taken
-from ``scipy.special``; the tests check it against mpmath, quadrature
-and recurrence oracles.
+picture.  ``eta_from_triplet`` evaluates it for a whole array of u with
+vectorized tanh-sinh quadrature (``scipy.integrate.tanhsinh``) on
+doubling panels, calling W on arrays a few times per array.  The only
+special function needed anywhere is the modified Bessel function K_n
+for n = 0, 1, 2, taken from ``scipy.special``; the tests check it
+against mpmath, quadrature and recurrence oracles.
 
 Natural units throughout: hbar = c = 1, masses in GeV, lengths and
 times in GeV^-1.
@@ -39,11 +39,14 @@ from scipy.integrate import tanhsinh
 # log(1e-12): characteristic-function decay demanded at the Nyquist edge
 LOG_DECAY_CRITERION = math.log(1e-12)
 
-# Panels per tanhsinh call.  The relativistic kernel stops after 6-8
-# panels; batches of 8 to 16 cost the same (~1.1 ms per u, one thread
-# of a 2-vCPU Xeon VM), all 48 at once ~1.5x that, and batches below 8
-# need a second call.
+# Panels and u per tanhsinh call.  The relativistic kernel stops after
+# 6-8 panels: batches of 8 to 16 panels cost about the same, ~1.3 ms for
+# one u and 0.15-0.2 ms per u for 64, and below 8 a second call is
+# needed.  The work arrays take ~60 kB per u (u a up to 60): 4096 u in
+# slices of 256 peak at 20 MB and run faster than in one call (255 MB).
+# One thread of a 2-vCPU Xeon VM.
 PANEL_BATCH = 12
+U_BATCH = 256
 
 # Nodes nearer the origin than NODE_FLOOR * scale are evaluated at that
 # distance.  tanh-sinh places nodes down to (and on) x = 0, where W is
@@ -155,16 +158,12 @@ class QuadratureSpec:
     """Tolerance/panel policy for the compensated jump integral."""
 
     tol: float = 1e-10
-    scale: float | None = None
     max_doublings: int = 48
 
 
 @dataclass(frozen=True)
 class LogCharacteristic:
-    """A log-characteristic u -> eta(u), real-valued (symmetric case).
-
-    ``eval`` does the work and accepts arrays.
-    """
+    """A log-characteristic u -> eta(u), real-valued; ``eval`` takes arrays."""
 
     eval: Callable
 
@@ -181,11 +180,7 @@ class LogCharacteristic:
     @classmethod
     def from_triplet(cls, triplet: LevyTriplet,
                      quadrature: QuadratureSpec | None = None) -> "LogCharacteristic":
-        def _eval(u):
-            u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-            vals = np.array([eta_from_triplet(ui, triplet, quadrature) for ui in u_arr])
-            return float(vals[0]) if np.ndim(u) == 0 else vals.reshape(np.shape(u))
-        return cls(eval=_eval)
+        return cls(eval=lambda u: eta_from_triplet(u, triplet, quadrature))
 
 
 # ---------------------------------------------------------------------------
@@ -232,75 +227,70 @@ def eta_modified_branch(u, base: ExponentParams, root_x: float):
     return eta_relativistic(u, branch)
 
 
-def eta_from_triplet(u: float, triplet: LevyTriplet,
-                     quadrature: QuadratureSpec | None = None) -> float:
+def eta_from_triplet(u, triplet: LevyTriplet,
+                     quadrature: QuadratureSpec | None = None):
     """Compensated Levy-Khintchine integral for a symmetric triplet.
 
-    Returns -beta^2 u^2 / 2 + int (cos(u x) - 1) W(x) dx.  The integrand
-    is taken as -2 sin^2(u x / 2) W(x), the same function without the
-    cancellation of cos(u x) - 1 at small u x; it is O(x^2 W(x)) at the
-    origin.  The half-line is covered by panels [0, s], [s, 2s],
-    [2s, 4s], ... (s = quadrature scale), PANEL_BATCH of them per
-    vectorized tanh-sinh call, and the sum stops after two consecutive
-    panels below 0.25 tol max(1, |total|).  A tail that does not stop
-    within max_doublings panels raises TailDivergenceError carrying one
-    partial sum per panel; a summed error estimate above tol, or a panel
-    before the stop that did not converge, raises
-    QuadratureToleranceError.
+    Returns -beta^2 u^2 / 2 + int (cos(u x) - 1) W(x) dx, a float for a
+    scalar u and an array of u's shape otherwise, from the integrand
+    -2 sin^2(u x / 2) W(x), which is (cos(u x) - 1) W(x) without its
+    cancellation at small u x.  Each tanh-sinh call covers PANEL_BATCH of
+    the panels [0, s], [s, 2s], [2s, 4s], ... (s = triplet.scale) for up
+    to U_BATCH u; a u stops after two consecutive panels below
+    0.25 tol max(1, |total|) and sits out the later calls.  A u that does
+    not stop within max_doublings panels raises TailDivergenceError with
+    one partial sum per panel; a summed error estimate above tol, or a
+    panel before the stop that did not converge, raises
+    QuadratureToleranceError.  Each error names the first such u.
     """
     policy = quadrature or QuadratureSpec()
-    s = policy.scale if policy.scale is not None else triplet.scale
-    u = float(u)
-    gaussian = -0.5 * triplet.beta2 * u * u
-    if triplet.jump_density is None:
-        return gaussian
+    s, tol, n = triplet.scale, policy.tol, policy.max_doublings
+    flat = np.asarray(u, dtype=float).ravel()
+    eta = -0.5 * triplet.beta2 * flat * flat  # the Gaussian part
 
-    def integrand(x):
+    def integrand(x, u_col):
         x = np.maximum(x, NODE_FLOOR * s)
-        return -2.0 * np.sin(0.5 * u * x) ** 2 * triplet.jump_density(x)
+        return -2.0 * np.sin(0.5 * u_col * x) ** 2 * triplet.jump_density(x)
 
-    total = 0.0
-    err = 0.0
-    failed = 0
-    partial_sums = []
-    small_streak = 0
-    for val, est, status in _panel_integrals(integrand, s, policy):
-        total += val
-        err += est
-        failed += status != 0
-        partial_sums.append(2.0 * total + gaussian)
-        if abs(val) < 0.25 * policy.tol * max(1.0, abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise TailDivergenceError(
-            f"jump integral did not converge within {policy.max_doublings} panel "
-            f"doublings (last panel ending at {s * 2.0 ** (policy.max_doublings - 1):g})",
-            partial_sums)
+    if flat.size > U_BATCH:
+        parts = np.split(flat, range(U_BATCH, flat.size, U_BATCH))
+        eta = np.concatenate([eta_from_triplet(p, triplet, quadrature) for p in parts])
+    elif triplet.jump_density is not None and flat.size:
+        # per u (row) and panel: integral, error estimate, failure, and their
+        # running sums; stop[i] is u_i's stopping panel, 0 until it stops
+        panels, sums = np.zeros((2, 3, flat.size, n))
+        stop = np.zeros(flat.size, dtype=int)
+        edges = np.append(0.0, s * 2.0 ** np.arange(n, dtype=float))
+        last = 0
+        while last < n and not stop.all():
+            first, last = last, min(last + PANEL_BATCH, n)
+            active = np.flatnonzero(stop == 0)
+            res = tanhsinh(integrand, edges[first:last], edges[first + 1:last + 1],
+                           args=(flat[active, None],), atol=0.1 * tol, rtol=1e-12)
+            panels[:, active, first:last] = res.integral, res.error, res.status != 0
+            sums = panels.cumsum(axis=2)
+            vals, totals = panels[0, :, :last], sums[0, :, :last]
+            small = np.abs(vals) < 0.25 * tol * np.maximum(1.0, np.abs(totals))
+            pair = small[:, 1:] & small[:, :-1]
+            stop = np.where(pair.any(axis=1), pair.argmax(axis=1) + 1, 0)
 
-    if failed:
-        raise QuadratureToleranceError(
-            f"tanh-sinh did not converge on {failed} panel(s) at u*scale = "
-            f"{u * s:.3g}; loosen the tolerance {policy.tol:.3e}")
-    if err > policy.tol:
-        raise QuadratureToleranceError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {policy.tol:.3e}")
-    return 2.0 * total + gaussian
-
-
-def _panel_integrals(integrand, s: float, policy: QuadratureSpec):
-    """(integral, error estimate, status) of the panels [0, s], [s, 2s],
-    [2s, 4s], ... in order, up to max_doublings of them, each batch of
-    PANEL_BATCH panels from one tanhsinh call."""
-    for first in range(0, policy.max_doublings, PANEL_BATCH):
-        last = min(first + PANEL_BATCH, policy.max_doublings)
-        edges = s * 2.0 ** np.arange(first - 1, last, dtype=float)
-        if first == 0:
-            edges[0] = 0.0
-        res = tanhsinh(integrand, edges[:-1], edges[1:],
-                       atol=0.1 * policy.tol, rtol=1e-12)
-        yield from zip(res.integral.tolist(), res.error.tolist(),
-                       res.status.tolist())
+        i = np.argmax(stop == 0)
+        if stop[i] == 0:
+            raise TailDivergenceError(
+                f"jump integral at u = {flat[i]:g} did not converge within {n} "
+                f"panel doublings (last panel ending at {s * 2.0 ** (n - 1):g})",
+                (2.0 * sums[0, i] + eta[i]).tolist())
+        total, err, failed = sums[:, np.arange(flat.size), stop]
+        i = np.argmax(failed > 0)
+        if failed[i]:
+            raise QuadratureToleranceError(
+                f"tanh-sinh did not converge on {failed[i]:g} panel(s) at u = "
+                f"{flat[i]:g}; loosen the tolerance {tol:.3e}")
+        i = np.argmax(err > tol)
+        if err[i] > tol:
+            raise QuadratureToleranceError(
+                f"quadrature error estimate {err[i]:.3e} at u = {flat[i]:g} "
+                f"exceeds tolerance {tol:.3e}")
+        eta = 2.0 * total + eta
+    eta = eta.reshape(np.shape(u))
+    return float(eta) if np.ndim(u) == 0 else eta

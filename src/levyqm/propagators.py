@@ -45,6 +45,12 @@ from .spectrum import CutoffPolynomial, SpectrumSolution, f_eval
 LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
                  "modified-scalar", "modified-mass")
 
+# find_poles' budget for the fit residual and the residue mismatch
+FIT_TOL = 1e-6
+# A failed fit is blamed on another root this near (relative): it bends the
+# probed K by ~7e-10/gap^2, past FIT_TOL from gap ~3e-2 down.
+NEAR_POLE = 0.1
+
 
 class NonpositiveDenominatorError(ValueError):
     """Euclidean propagator denominator crossed zero."""
@@ -153,17 +159,18 @@ def dirac_propagator_scalarized(p2, m: float, c: CutoffPolynomial,
     return DiracScalarized(vector_coeff=vector, scalar_coeff=scalar)
 
 
-def find_poles(spectrum: SpectrumSolution, verify: bool = True,
-               fit_tol: float = 1e-6) -> tuple:
+def find_poles(spectrum: SpectrumSolution) -> tuple:
     """Poles of the spectrum's scalar propagator, certified by local fits.
 
     Returns one PoleFit per simple root of ``spectrum``, which is not
     solved again; multiple roots have no residue and no fit.  Each
-    simple root is probed at p^2 = m^2 x_i (1 + delta) for
+    simple root is probed at p^2 = pole (1 + delta) for
     delta = +-{1,2,4,8}e-5 and fitted to R/(p^2 - pole) + C with
     eps = 0; the fitted residue must match 1/g'(x_i) (which is also the
     p^2-variable residue; the x-variable residue carries the extra 1/m^2
-    Jacobian).
+    Jacobian) and the fit must hold, both to FIT_TOL, else ValueError
+    names the cause: another pole too near, or a base mass so far from
+    the masses that the denominator loses its digits.
     """
     m, c = spectrum.base_mass, spectrum.coefficients
     fits = []
@@ -172,9 +179,8 @@ def find_poles(spectrum: SpectrumSolution, verify: bool = True,
         if not flag.real or math.isnan(residue):
             continue
         pole = m ** 2 * x_root
-        scale = max(abs(pole), m ** 2)
         deltas = np.array([s * k * 1e-5 for s in (-1.0, 1.0) for k in (1, 2, 4, 8)])
-        p2_samples = pole + deltas * scale
+        p2_samples = pole + deltas * abs(pole)
         # eps-free evaluation away from the pole
         x = p2_samples / m ** 2
         kvals = 1.0 / (p2_samples - m ** 2 * (1.0 + f_eval(x, c)))
@@ -186,14 +192,17 @@ def find_poles(spectrum: SpectrumSolution, verify: bool = True,
         model = design @ coef
         residual = float(np.linalg.norm(kvals - model) / np.linalg.norm(kvals))
         mismatch = abs(fitted_r - residue) / abs(residue)
+        if residual > FIT_TOL or mismatch > FIT_TOL:
+            near = any(0.0 < abs(r / x_root - 1.0) < NEAR_POLE for r in spectrum.roots)
+            raise ValueError(
+                f"pole fit at x = {x_root:g} misses its budget {FIT_TOL:g} (fit "
+                f"residual {residual:.2e}, residue mismatch {mismatch:.2e}): "
+                + ("another pole is too close for a local fit" if near
+                   else "choose a base mass nearer the masses"))
         fits.append(PoleFit(root=x_root, p2_pole=pole, fitted_residue=fitted_r,
                             algebraic_residue=residue,
                             residue_mismatch=mismatch, fit_residual=residual,
                             residue_x=residue / m ** 2))
-        if verify and (residual > fit_tol or mismatch > fit_tol):
-            raise RuntimeError(
-                f"pole verification failed at x = {x_root}: fit residual "
-                f"{residual:.2e}, residue mismatch {mismatch:.2e}")
     return tuple(fits)
 
 

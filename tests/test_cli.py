@@ -85,18 +85,35 @@ def test_repeated_masses_are_degenerate(tmp_path, capsys, masses, base):
     assert poles == {k: v for k, v in load_json(fit).items() if k in poles}
 
 
-@pytest.mark.parametrize("masses", ["1,1,2", "1,1,10", "0.5,0.5,3"])
+@pytest.mark.parametrize("masses", ["1,1,2", "1,1,10", "0.5,0.5,3",
+                                    "1,2,2 --base 1000"])
 def test_pole_fits_sit_on_the_reported_roots(tmp_path, masses):
     # the fits and the poles record come from one spectrum: no fit at a
-    # root that the rounded coefficients split off the repeated one
+    # root that the rounded coefficients split off the repeated one, and
+    # every fit is certified, also at a root far below the base mass
     out = tmp_path / "p.csv"
     with pytest.warns(UserWarning):
-        assert main(["propagator", "--masses", masses, "--points", "16",
+        assert main(["propagator", "--masses", *masses.split(), "--points", "16",
                      "-o", str(out)]) == 3
     meta = load_json(tmp_path / "p.csv.meta.json")
     assert meta["pole_fits"]
     for fit in meta["pole_fits"]:
         assert fit["root"] in meta["poles"]["roots"]
+        assert fit["residue_mismatch"] < 1e-6
+
+
+@pytest.mark.parametrize("masses,fix", [
+    ("1,1.000001,3", "too close for a local fit"),
+    ("1,2,3 --base 1e-3", "choose a base mass nearer the masses")])
+def test_uncertified_pole_fit_is_a_domain_error(tmp_path, capsys, masses, fix):
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(["propagator", "--masses", *masses.split(),
+                     "--points", "16", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "pole fit at x" in err and fix in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("masses,base,code", [
@@ -297,6 +314,18 @@ def test_simulate_full_paths(tmp_path):
     np.testing.assert_array_equal(paths["path"], np.repeat([0.0, 1.0, 2.0], 9))
     np.testing.assert_array_equal(paths["t"], np.tile(np.linspace(0, 1, 9), 3))
     assert not paths["x"][::9].any()
+
+
+def test_simulate_full_paths_beyond_paths(tmp_path):
+    # the full paths have their own stream: the count asked for is written
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--mass", "1", "--paths", "2000",
+                 "--full-paths", "3000", "--steps", "2", "-o", str(out)]) == 0
+    paths = read_csv_columns(tmp_path / "sim_paths.csv")
+    assert paths["path"].size == 9000
+    np.testing.assert_array_equal(paths["path"], np.repeat(np.arange(3000.0), 3))
+    assert load_json(tmp_path / "sim.csv.meta.json")[
+        "provenance"]["parameters"]["full_paths"] == 3000
 
 
 @pytest.mark.parametrize("argv", [

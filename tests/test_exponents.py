@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from levyqm import (ExponentParams, LevyTriplet, LogCharacteristic,
                     QuadratureSpec, TailDivergenceError, eta_from_triplet,
                     eta_modified_branch, eta_relativistic, kinetic_energy)
+from levyqm import exponents
 from levyqm.densities import relativistic_triplet
 from levyqm.exponents import QuadratureToleranceError
 
@@ -210,6 +211,56 @@ def test_unconverged_panel_raises():
     trip = relativistic_triplet(UNIT)
     with pytest.raises(QuadratureToleranceError, match="did not converge"):
         eta_from_triplet(1e3, trip, QuadratureSpec(tol=1e-9))
+
+
+@pytest.mark.parametrize("u_batch", [exponents.U_BATCH, 4])
+def test_array_u_equals_scalar_u_bitwise(monkeypatch, u_batch):
+    # one code path: an array of u, in one call or in slices of u_batch,
+    # gives the bytes of the element-wise scalar calls
+    trip = relativistic_triplet(UNIT)
+    policy = QuadratureSpec(tol=1e-9)
+    u = np.array([[0.0, -0.3, 1.0, 7.5], [-12.0, 0.05, 2.0, 40.0]])
+    want = np.array([eta_from_triplet(float(v), trip, policy) for v in u.ravel()])
+    monkeypatch.setattr(exponents, "U_BATCH", u_batch)
+    got = eta_from_triplet(u, trip, policy)
+    assert got.shape == u.shape
+    np.testing.assert_array_equal(got.ravel().view(np.int64), want.view(np.int64))
+    assert isinstance(eta_from_triplet(np.float64(1.0), trip, policy), float)
+    assert isinstance(eta_from_triplet(np.array(1.0), trip, policy), float)
+
+
+def test_empty_u_gives_empty_array():
+    trip = relativistic_triplet(UNIT)
+    for triplet in (trip, LevyTriplet(beta2=1.0)):
+        got = eta_from_triplet(np.array([]), triplet)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+    assert LogCharacteristic.from_triplet(trip)(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_no_panels_is_a_tail_divergence():
+    trip = relativistic_triplet(UNIT)
+    with pytest.raises(TailDivergenceError, match="u = 1") as err:
+        eta_from_triplet(1.0, trip, QuadratureSpec(max_doublings=0))
+    assert err.value.partial_sums == []
+
+
+def test_unconverged_panel_in_an_array_names_its_u():
+    trip = relativistic_triplet(UNIT)
+    with pytest.raises(QuadratureToleranceError,
+                       match="did not converge on .* at u = 1000;"):
+        eta_from_triplet(np.array([0.5, 1e3, 2.0]), trip, QuadratureSpec(tol=1e-9))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: tanh-sinh converges falsely on the ~20 oscillations of "
+    "panel [2a, 4a] at u a = 61.85 (rel. error 1.96e-5)"))
+def test_levy_khintchine_band_to_nyquist():
+    # u up to the Nyquist edge pi/dx of the dx = 0.05 a jump grid
+    trip = relativistic_triplet(UNIT)
+    u = np.linspace(0.0, math.pi / 0.05, 257)[1:]
+    got = eta_from_triplet(u, trip, QuadratureSpec(tol=1e-9))
+    rel = np.abs(got / eta_relativistic(u, UNIT) - 1.0)
+    assert rel.max() <= 1e-9, (int((rel > 1e-9).sum()), u[rel.argmax()], rel.max())
 
 
 def test_log_characteristic_wrappers():

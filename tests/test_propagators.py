@@ -110,6 +110,13 @@ def test_find_poles_reference_rows(name):
         assert fit.fit_residual < 1e-6
 
 
+def test_find_poles_blames_a_neighbour_outside_the_probes():
+    # roots 2% apart, far outside the probes' 8e-5 span, still bend the
+    # probed propagator past the budget, and the message says why
+    with pytest.raises(ValueError, match="too close for a local fit"):
+        find_poles(fit_masses(MassTriple(1.0, 1.01, 3.0)))
+
+
 def test_find_poles_degenerate_diagnostic():
     sol = masses_from_lambdas(CutoffPolynomial(-2.0, 3.0, -1.0), 1.0)
     fits = find_poles(sol)
