@@ -266,6 +266,10 @@ def cmd_evolve(args) -> int:
 
     if args.branch is not None:
         spectrum = _cutoff_from_args(args)
+        n_roots = len(spectrum.roots)
+        if not 0 <= args.branch < n_roots:
+            raise ValueError(f"--branch {args.branch} is not a branch of this "
+                             f"spectrum: valid branches are 0 to {n_roots - 1}")
         stepper = lambda w: evolve_modified(w, args.dt, spectrum, args.branch)
     else:
         eta = LogCharacteristic.relativistic(params)
@@ -331,7 +335,7 @@ def cmd_loop(args) -> int:
     else:
         variants = (f"unmodified-{args.variant}", f"modified-{args.variant}")
     result = loop_integral(pe, solution, cutoffs, variants=variants)
-    out = emit(args, {"tail_fits": {v: result.tail_fits[v].to_dict()
+    out = emit(args, {"tail_fits": {v: dataclasses.asdict(result.tail_fits[v])
                                     for v in variants},
                       "diagnostics": {"quadrature_abserr": result.abserr}},
                {"cutoff": result.cutoffs,

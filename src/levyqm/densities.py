@@ -147,10 +147,13 @@ def default_grid(params: ExponentParams, dt: float, n: int = 2 ** 14,
     """Grid meeting the decay criterion with a safety margin on u_max.
 
     Uses the closed-form inverse of the relativistic exponent:
-    |eta(u*)| = -log(1e-12) tau / dt, dx = pi / (margin u*).
+    |eta(u*)| = c = -log(1e-12) tau / dt, so a u* = sqrt(c (2 + c)),
+    which keeps its digits at large dt; dx = pi / (margin u*).
     """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     c = -LOG_DECAY_CRITERION * params.tau / dt
-    u_star = math.sqrt((1.0 + c) ** 2 - 1.0) / params.a
+    u_star = math.sqrt(c * (2.0 + c)) / params.a
     return GridSpec(n=n, dx=math.pi / (margin * u_star))
 
 

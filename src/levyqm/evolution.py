@@ -174,8 +174,7 @@ def evolve_modified(psi: WaveFunction, dt: float, spectrum: SpectrumSolution,
     if not 0 <= branch < len(spectrum.roots):
         raise IndexError(f"branch {branch} outside spectrum of "
                          f"{len(spectrum.roots)} roots")
-    flag = spectrum.flags[branch]
-    if not (flag.real and flag.positive):
+    if not spectrum.roots[branch] > 0.0:
         raise ValueError(f"branch {branch} is not a real positive root")
     params = ExponentParams.from_mass(spectrum.masses[branch])
     return evolve_spectral(psi, dt, LogCharacteristic.relativistic(params),

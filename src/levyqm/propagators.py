@@ -30,6 +30,10 @@ rests on: without the cutoff the scalar-type integrand falls like 1/k
 (scalar-type, residual ~ L^-4) or m^2/(sqrt(|l3|) k^2) (mass-type,
 residual ~ L^-1).  Increments between cutoffs are integrated directly
 so the tail diagnostics never suffer cancellation against the bulk.
+The modified denominator is -m^2 (g(-k^2/m^2) - 1): it vanishes exactly
+at k = m sqrt(-x_i) for the negative spectrum roots x_i, and the first
+such k inside the top cutoff raises NonpositiveDenominatorError, as does
+the first k where the mass-type 1 + f(-k^2/m^2) turns negative.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ NEAR_POLE = 0.1
 
 
 class NonpositiveDenominatorError(ValueError):
-    """Euclidean propagator denominator crossed zero."""
+    """The Euclidean loop integrand is not real and finite from ``location`` on."""
 
     def __init__(self, message, location):
         super().__init__(message)
@@ -102,16 +106,6 @@ class TailFit:
     decay_exponent: float | None
     decay_r2: float | None
     octave_ratios: tuple
-
-    def to_dict(self):
-        return {
-            "log_slope": self.log_slope,
-            "log_intercept": self.log_intercept,
-            "log_r2": self.log_r2,
-            "decay_exponent": self.decay_exponent,
-            "decay_r2": self.decay_r2,
-            "octave_ratios": list(self.octave_ratios),
-        }
 
 
 @dataclass(frozen=True)
@@ -174,9 +168,8 @@ def find_poles(spectrum: SpectrumSolution) -> tuple:
     """
     m, c = spectrum.base_mass, spectrum.coefficients
     fits = []
-    for x_root, flag, residue in zip(spectrum.roots, spectrum.flags,
-                                     spectrum.residues):
-        if not flag.real or math.isnan(residue):
+    for x_root, residue in zip(spectrum.roots, spectrum.residues):
+        if math.isnan(residue):
             continue
         pole = m ** 2 * x_root
         deltas = np.array([s * k * 1e-5 for s in (-1.0, 1.0) for k in (1, 2, 4, 8)])
@@ -210,26 +203,14 @@ def find_poles(spectrum: SpectrumSolution) -> tuple:
 # loop-integral convergence proxy
 # ---------------------------------------------------------------------------
 
-def _euclidean_f(y, c: CutoffPolynomial):
-    # f(-y) for y = kE^2/m^2 >= 0; Wick rotation flips odd powers
-    return y * (-c.lambda1 + y * (c.lambda2 - y * c.lambda3))
-
-
-def _check_euclidean_positivity(m, c, k_max):
-    if c.lambda1 < 0.0 and c.lambda2 > 0.0 and c.lambda3 < 0.0:
-        return  # every monomial of the denominator is nonnegative
-    k = np.geomspace(1e-6 * m, max(k_max, m), 4096)
-    denom = k ** 2 + m ** 2 * (1.0 + _euclidean_f((k / m) ** 2, c))
-    bad = np.nonzero(denom <= 0.0)[0]
-    if bad.size:
-        raise NonpositiveDenominatorError(
-            f"Euclidean denominator nonpositive near k = {k[bad[0]]:g}",
-            location=float(k[bad[0]]))
+def _first_euclidean_zero(xs, m, k_max):
+    """Smallest k = m sqrt(-x) <= k_max over the negative x in xs, or None."""
+    ks = [m * math.sqrt(-x) for x in xs if x < 0.0]
+    return min((k for k in ks if k <= k_max), default=None)
 
 
 def _loop_integrand(k, pE, m, c, modified, mass_type):
-    y = (k / m) ** 2
-    f_e = _euclidean_f(y, c) if modified else 0.0
+    f_e = f_eval(-(k / m) ** 2, c) if modified else 0.0
     denom = (k ** 2 + m ** 2 * (1.0 + f_e)) * max(pE ** 2, k ** 2)
     numer = m * math.sqrt(1.0 + f_e) if mass_type else 1.0
     return k ** 3 * numer / denom
@@ -256,9 +237,20 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
     if unknown:
         raise ValueError(f"unknown loop variants: {sorted(unknown)}")
 
-    m, c = spectrum.base_mass, spectrum.coefficients
-    if any(v.startswith("modified") for v in variants):
-        _check_euclidean_positivity(m, c, cutoffs[-1])
+    m, c, top = spectrum.base_mass, spectrum.coefficients, cutoffs[-1]
+    k0 = _first_euclidean_zero(spectrum.roots, m, top)
+    if k0 is not None and any(v.startswith("modified") for v in variants):
+        raise NonpositiveDenominatorError(
+            f"Euclidean denominator vanishes at k = {k0:g} (-k^2/m^2 is a root "
+            "of g(x) = 1); keep the cutoffs below it", location=k0)
+    if "modified-mass" in variants:
+        zeros = np.roots([c.lambda3, c.lambda2, c.lambda1, 1.0])
+        k0 = _first_euclidean_zero(zeros[zeros.imag == 0.0].real, m, top)
+        if k0 is not None:
+            raise NonpositiveDenominatorError(
+                f"1 + f(-k^2/m^2) < 0 above k = {k0:g}, so m sqrt(1 + f) is not "
+                "real: use --variant scalar, or a cutoff with 1 + f >= 0 up to "
+                "the top cutoff", location=k0)
 
     features = [pE] + [mass for mass in spectrum.masses if mass > 0]
 

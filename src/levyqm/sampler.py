@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -100,9 +101,21 @@ class KSReport:
 # ---------------------------------------------------------------------------
 
 def _clock_law(dt: float, params: ExponentParams):
-    """(mean, shape) of the inverse-Gaussian clock of a time-dt increment."""
-    ratio = dt / params.tau
-    return params.a ** 2 * ratio, params.a ** 2 * ratio ** 2
+    """(mean, shape) of the inverse-Gaussian clock of a time-dt increment.
+
+    Past ``limit``, 4 mean shape y or (mean y)^2 overflows in
+    ``_inverse_gaussian`` for some y = nu^2 < 14^2 (numpy's ziggurat
+    normals stay below r + 53 ln 2 / r = 13.7), and the draws collapse to 0.
+    """
+    ratio, a2, y = dt / params.tau, params.a ** 2, 14.0 ** 2
+    big = sys.float_info.max
+    limit = min((big / (4.0 * y * a2 * a2)) ** (1.0 / 3.0),
+                math.sqrt(big) / (y * a2))
+    if not ratio < limit:
+        raise ValueError(
+            f"dt/tau = {ratio:g} overflows the inverse-Gaussian clock, whose "
+            f"double-precision limit is dt/tau < {limit:.3g}; shorten the step")
+    return a2 * ratio, a2 * ratio ** 2
 
 
 def _inverse_gaussian(mean, shape, rng, size):

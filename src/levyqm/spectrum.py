@@ -23,7 +23,7 @@ coincident roots, which the closed form merges or displaces and plain
 Newton cannot resolve.
 
 A spectrum is one ``SpectrumSolution``: coefficients, base mass, roots,
-masses, residues and flags.  It has two constructors,
+masses and residues.  It has two constructors,
 ``masses_from_lambdas`` (coefficients and base mass given) and
 ``fit_masses`` (three target masses given), and every consumer takes
 the solution rather than solving again.
@@ -91,13 +91,6 @@ class MassTriple:
 
 
 @dataclass(frozen=True)
-class RootFlags:
-    real: bool
-    positive: bool
-    residue_positive: bool | None
-
-
-@dataclass(frozen=True)
 class SpectrumSolution:
     """The spectrum of one cutoff: coefficients, base mass and real roots.
 
@@ -114,7 +107,6 @@ class SpectrumSolution:
     roots: tuple
     masses: tuple
     residues: tuple
-    flags: tuple
     discriminant: float | None
     degenerate: bool
     n_complex: int
@@ -126,11 +118,6 @@ class SpectrumSolution:
             "roots": list(self.roots),
             "masses": list(self.masses),
             "residues": list(self.residues),
-            "flags": [
-                {"real": f.real, "positive": f.positive,
-                 "residue_positive": f.residue_positive}
-                for f in self.flags
-            ],
             "discriminant": self.discriminant,
             "degenerate": self.degenerate,
             "n_complex": self.n_complex,
@@ -331,7 +318,7 @@ def _real_roots(c: CutoffPolynomial):
 
 def _solution_from_roots(c, base_mass, roots, discriminant, n_complex,
                          multiple=()) -> SpectrumSolution:
-    """Masses, residues and flags at certified roots.
+    """Masses and residues at certified roots.
 
     A root is multiple, with no residue, when it is listed in
     ``multiple`` or when |x g'(x)| < DEGENERATE_GPRIME.  At a root of the
@@ -339,16 +326,13 @@ def _solution_from_roots(c, base_mass, roots, discriminant, n_complex,
     on g' alone, the test does not change when the roots are rescaled.
     """
     roots = sorted(roots)
-    residues, flags = [], []
+    residues = []
     for x in roots:
         if not _certified(x, c):
             raise RuntimeError(f"root certificate violated at x={x!r}")
         gp = g_prime(x, c)
         simple = x not in multiple and abs(x * gp) >= DEGENERATE_GPRIME
-        r = 1.0 / gp if simple else math.nan
-        residues.append(r)
-        flags.append(RootFlags(real=True, positive=x > 0.0,
-                               residue_positive=r > 0.0 if simple else None))
+        residues.append(1.0 / gp if simple else math.nan)
     return SpectrumSolution(
         coefficients=c,
         base_mass=base_mass,
@@ -356,7 +340,6 @@ def _solution_from_roots(c, base_mass, roots, discriminant, n_complex,
         masses=tuple(base_mass * math.sqrt(x) if x > 0.0 else math.nan
                      for x in roots),
         residues=tuple(residues),
-        flags=tuple(flags),
         discriminant=discriminant,
         degenerate=any(math.isnan(r) for r in residues),
         n_complex=n_complex,

@@ -281,6 +281,42 @@ def test_loop_preset_cutoffs_from_target_masses(tmp_path):
     assert read_csv_columns(out)["cutoff"][0] == 100 * 1.77
 
 
+DIP_LAMBDAS = "--lambdas=0.49999375015624614,-0.4374953126171846,-0.06249843753906153"
+
+
+EDGE_INPUTS = [
+    # roots 1, -4, -4.0001: the denominator dips below 0 on (2, 2.0000125)
+    (["loop", DIP_LAMBDAS, "--mass", "1"],
+     "Euclidean denominator vanishes at k = 2 ("),
+    (["loop", "--lambdas=0.5,0,0", "--mass", "1", "--variant", "mass"],
+     "above k = 1.41421, so m sqrt(1 + f) is not real"),
+    (["density", "--mass", "1", "--dt", "0"], "dt must be positive"),
+    (["simulate", "--mass", "1", "--t", "1e150", "--paths", "10"],
+     "overflows the inverse-Gaussian clock"),
+    (["simulate", "--mass", "1", "--t", "1e300", "--paths", "10"],
+     "overflows the inverse-Gaussian clock"),
+    (["evolve", "--mass", "1", "--dt", "0.05", "--steps", "2", "--branch", "5",
+      "--masses", "1,2,3", "--snapshot-every", "1"],
+     "valid branches are 0 to 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", EDGE_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in EDGE_INPUTS])
+def test_edge_inputs_are_domain_errors(tmp_path, capsys, argv, message):
+    assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_density_at_a_huge_dt(tmp_path):
+    out = tmp_path / "density.csv"
+    assert main(["density", "--mass", "1", "--dt", "1e300", "-o", str(out)]) == 0
+    summary = load_json(tmp_path / "density.csv.meta.json")["summary"]
+    assert summary["normalization"] == pytest.approx(1.0, abs=1e-12)
+    assert summary["variance"] / 1e300 == pytest.approx(1.0, rel=1e-8)
+
+
 def test_simulate_validation_report(tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--mass", "1", "--t", "1", "--paths", "20000",

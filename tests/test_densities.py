@@ -101,6 +101,18 @@ def test_dt_must_be_positive():
     grid = default_grid(UNIT, 1.0)
     with pytest.raises(ValueError):
         transition_density(-1.0, UNIT, ETA, grid)
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            default_grid(UNIT, dt)
+
+
+def test_default_grid_at_a_huge_dt():
+    # (1 + c)^2 - 1 rounds to 0 here; c (2 + c) keeps its digits
+    dt = 1e300
+    grid = default_grid(UNIT, dt)
+    table = transition_density(dt, UNIT, ETA, grid)
+    assert table.normalization() == pytest.approx(1.0, abs=1e-12)
+    assert moments(table, 2) / dt == pytest.approx(1.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

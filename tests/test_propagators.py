@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,67 @@ def test_loop_euclidean_positivity_guard():
         loop_integral(1.0, masses_from_lambdas(c, 1.0), [1.0, 2.0],
                       variants=("modified-scalar",))
     assert err.value.location == pytest.approx(0.5, rel=0.05)
+
+
+def lambdas_of_roots(*roots):
+    # Vieta on l3 x^3 + l2 x^2 + (l1 - 1) x + 1, any signs of the roots
+    r1, r2, r3 = (1.0 / x for x in roots)
+    return CutoffPolynomial(1.0 - (r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3,
+                            -r1 * r2 * r3)
+
+
+def test_loop_denominator_zero_between_close_negative_roots():
+    # the denominator is negative only on k in (2, 2.0000125): far too
+    # narrow for any sampling of k to find
+    c = lambdas_of_roots(1.0, -4.0, -4.0001)
+    assert c.as_tuple() == (0.49999375015624614, -0.4374953126171846,
+                            -0.06249843753906153)
+    with pytest.raises(NonpositiveDenominatorError,
+                       match=r"vanishes at k = 2 \(") as err:
+        loop_integral(1.0, masses_from_lambdas(c, 1.0), 100.0 * 2.0 ** np.arange(9),
+                      variants=("modified-scalar",))
+    # the exact zero of the rounded coefficients, 3.6e-12 below 2
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        l1, l2, l3 = (mp.mpf(v) for v in c.as_tuple())
+        x = max(r for r in mp.polyroots([l3, l2, l1 - 1, 1], maxsteps=200,
+                                        extraprec=200) if r < 0)
+        exact = float(mp.sqrt(-x))
+    assert err.value.location == pytest.approx(exact, rel=1e-15)
+    assert err.value.location == pytest.approx(2.0, abs=1e-11)
+
+
+def test_loop_denominator_zero_of_a_close_pair():
+    c = lambdas_of_roots(1.0, -100.0, -100.2)
+    with pytest.raises(NonpositiveDenominatorError) as err:
+        loop_integral(1.0, masses_from_lambdas(c, 1.0), [100.0, 200.0],
+                      variants=("unmodified-scalar", "modified-scalar"))
+    assert err.value.location == pytest.approx(10.0, rel=1e-12)
+
+
+def test_loop_denominator_zero_above_the_top_cutoff_is_harmless():
+    c = lambdas_of_roots(1.0, -4.0, -4.0001)
+    result = loop_integral(1.0, masses_from_lambdas(c, 1.0), [0.5, 1.0, 1.9],
+                           variants=("modified-scalar",))
+    assert np.all(np.isfinite(result.values["modified-scalar"]))
+    # only the modified variants see the cutoff's roots
+    result = loop_integral(1.0, masses_from_lambdas(c, 1.0), [100.0, 200.0],
+                           variants=("unmodified-scalar", "unmodified-mass"))
+    assert np.all(result.values["unmodified-scalar"] > 0)
+
+
+def test_loop_mass_numerator_not_real():
+    # 1 + f(-k^2/m^2) = 1 - k^2/2 < 0 above k = sqrt(2), where the
+    # denominator k^2 + 1 - k^2/2 is still positive
+    spectrum = masses_from_lambdas(CutoffPolynomial(0.5, 0.0, 0.0), 1.0)
+    with pytest.raises(NonpositiveDenominatorError,
+                       match="--variant scalar") as err:
+        loop_integral(1.0, spectrum, [100.0, 200.0],
+                      variants=("unmodified-mass", "modified-mass"))
+    assert err.value.location == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    result = loop_integral(1.0, spectrum, [100.0, 200.0],
+                           variants=("modified-scalar",))
+    assert np.all(np.isfinite(result.values["modified-scalar"]))
 
 
 def test_loop_validation_errors(table3):

@@ -122,6 +122,19 @@ def test_path_shape_and_start():
         sample_path(2.0, 0, UNIT, SeededGenerator(9))
 
 
+def test_clock_overflow_names_the_limit():
+    # past dt/tau ~ 6e101 at a = 1 the Michael-Schucany-Haas products
+    # overflow and every draw would collapse to 0
+    for dt in (1e150, 1e300):
+        with pytest.raises(ValueError, match=r"dt/tau < 6\.12e\+101"):
+            sample_increment(dt, UNIT, SeededGenerator(0), size=4)
+    with pytest.raises(ValueError, match="overflows"):
+        sample_endpoints(1e150, UNIT, SeededGenerator(0), 4)
+    x = sample_endpoints(1e101, UNIT, SeededGenerator(0), 1000)
+    assert np.all(np.isfinite(x)) and np.all(x != 0.0)
+    assert x.var() / 1e101 == pytest.approx(1.0, rel=0.2)
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 1.0]), positions=np.array([1.0, 2.0]))

@@ -306,7 +306,7 @@ def test_masses_from_lambdas_zero_cutoff():
     assert sol.roots == (1.0,)
     assert sol.masses == (1.0,)
     assert sol.residues == (1.0,)
-    assert sol.flags[0].residue_positive
+    assert sol.residues[0] > 0
 
 
 def test_residues_against_finite_differences():
@@ -329,7 +329,7 @@ def test_solution_serialization():
     d = sol.to_dict()
     assert d["roots"] == [1.0]
     assert d["masses"] == [2.0]
-    assert d["flags"][0]["residue_positive"] is True
+    assert d["residues"][0] > 0
 
 
 @pytest.mark.parametrize("masses", [(1.0, 1.0, 2.0), (1.0, 1.0, 10.0),
