@@ -16,13 +16,13 @@ fixed key reproduces byte-identical output on any platform.
 ``sample_endpoints`` takes a SeededGenerator and cuts the paths into
 tiles of TILE (the last one partial).  Tile b draws from the (seed,
 stream) Philox jumped b times, 2^128 draws apart (Salmon et al., SC'11);
-tile 0 is that generator itself.  Inside a tile the steps run one after
-another, each drawing what ``sample_increment(dt, size=tile)`` draws,
-and are added in step order into the tile's endpoints.  Memory is
-O(workers x TILE), not O(paths x steps), and since every tile sums its
-own paths in step order, the tiles can run on a thread pool (one worker
-per usable core) and the output bytes do not depend on the worker
-count.  TILE is part of this stream layout.
+tile 0 is that generator itself.  A sum of increments sqrt(S_j) Z_j
+has the law of sqrt(S_1 + ... + S_n) Z, so a tile adds its paths' step
+clocks in step order into its endpoints, then takes X(T) = sqrt(S(T)) Z
+with one normal per path.  Memory is O(workers x TILE), not O(paths x
+steps), and since every tile draws from its own stream, the tiles can
+run on a thread pool (one worker per usable core) and the output bytes
+do not depend on the worker count.  TILE is part of this stream layout.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,33 +106,37 @@ def _clock_law(dt: float, params: ExponentParams):
 
     Past ``limit``, 4 mean shape y or (mean y)^2 overflows in
     ``_inverse_gaussian`` for some y = nu^2 < 14^2 (numpy's ziggurat
-    normals stay below r + 53 ln 2 / r = 13.7), and the draws collapse to 0.
+    normals stay below r + 53 ln 2 / r = 13.7); shape must stay normal.
     """
     ratio, a2, y = dt / params.tau, params.a ** 2, 14.0 ** 2
-    big = sys.float_info.max
+    big, tiny = sys.float_info.max, sys.float_info.min
     limit = min((big / (4.0 * y * a2 * a2)) ** (1.0 / 3.0),
                 math.sqrt(big) / (y * a2))
-    if not ratio < limit:
+    if not (ratio < limit and a2 * ratio ** 2 >= tiny):
+        flow = "underflows" if ratio < limit else "overflows"
         raise ValueError(
-            f"dt/tau = {ratio:g} overflows the inverse-Gaussian clock, whose "
-            f"double-precision limit is dt/tau < {limit:.3g}; shorten the step")
+            f"dt/tau = {ratio:g} {flow} the inverse-Gaussian clock, whose "
+            f"double-precision range is {math.sqrt(tiny / a2):.3g} <= dt/tau "
+            f"< {limit:.3g}; choose a step inside it")
     return a2 * ratio, a2 * ratio ** 2
 
 
 def _inverse_gaussian(mean, shape, rng, size):
     """IG(mean, shape) draws by Michael-Schucany-Haas.
 
-    One squared normal y and one uniform u per draw.  The smaller root
-    of the transformed quadratic is kept when u <= mean/(mean + root),
-    else mean^2/root.  np.square is what ``** 2`` does on arrays; on the
-    floats of a scalar draw ``** 2`` calls pow, which is not always x * x.
+    One squared normal y and one uniform u per draw.  The larger root of
+    the transformed quadratic sums positive terms and the smaller is
+    mean^2/large, so neither cancels at small dt/tau; the smaller is kept
+    when u <= mean/(mean + small).  np.square is what ``** 2`` does on
+    arrays; on a scalar draw's floats ``** 2`` calls pow, not always x * x.
     """
     nu, u = rng.standard_normal(size), rng.random(size)
     y = nu * nu
-    root = (mean + mean * mean * y / (2.0 * shape)
-            - (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
-                                               + np.square(mean * y)))
-    return np.where(u <= mean / (mean + root), root, mean * mean / root)
+    large = (mean + mean * mean * y / (2.0 * shape)
+             + (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
+                                                + np.square(mean * y)))
+    small = mean * mean / large
+    return np.where(u <= mean / (mean + small), small, large)
 
 
 def _increments(mean, shape, rng, size):
@@ -141,11 +146,11 @@ def _increments(mean, shape, rng, size):
 
 
 def _endpoint_tile(mean, shape, steps, rng, out):
-    """Sum of `steps` increments per path of one tile, added in step order."""
-    out[:] = _increments(mean, shape, rng, out.shape)
+    """sqrt(S) Z per path of one tile, S its step clocks added in order."""
+    out[:] = _inverse_gaussian(mean, shape, rng, out.shape)
     for _ in range(steps - 1):
-        out += _increments(mean, shape, rng, out.shape)
-    return out
+        out += _inverse_gaussian(mean, shape, rng, out.shape)
+    out[:] = np.sqrt(out) * rng.standard_normal(out.shape)
 
 
 def _worker_count() -> int:
@@ -217,10 +222,10 @@ def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
                      steps: int = 1) -> np.ndarray:
     """Endpoint draws X(T) for n_paths independent trajectories.
 
-    Paths are cut into tiles of TILE; each tile sums its `steps`
-    increments in step order.  Tile b draws from the SeededGenerator's
-    Philox jumped b times, and from four tiles' worth of increments on,
-    the tiles run on a thread pool.
+    Paths are cut into tiles of TILE; each tile adds its `steps` clocks
+    in step order into S(T) and returns X(T) = sqrt(S(T)) Z.  Tile b draws
+    from the SeededGenerator's Philox jumped b times, and from four tiles'
+    worth of steps on, the tiles run on a thread pool.
     """
     if not isinstance(g, SeededGenerator):
         raise TypeError("sample_endpoints draws its tiles from jumped (seed, "
@@ -236,17 +241,12 @@ def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
     # more than they save.
     parallel = n_paths * steps >= 4 * TILE
     workers = min(len(tiles), _worker_count()) if parallel else 1
-
-    def run(rng, tile):
-        return _endpoint_tile(mean, shape, steps, rng, tile)
-
+    run = partial(_endpoint_tile, mean, shape, steps)
     if workers == 1:
-        for rng, tile in zip(rngs, tiles):
-            run(rng, tile)
+        list(map(run, rngs, tiles))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(run, rngs, tiles):
-                pass
+            list(pool.map(run, rngs, tiles))
     return out
 
 

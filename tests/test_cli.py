@@ -295,6 +295,9 @@ EDGE_INPUTS = [
      "overflows the inverse-Gaussian clock"),
     (["simulate", "--mass", "1", "--t", "1e300", "--paths", "10"],
      "overflows the inverse-Gaussian clock"),
+    # shape (dt/tau)^2 = 1e-400 is no normal double
+    (["simulate", "--mass", "1", "--t", "1e-200", "--paths", "10"],
+     "underflows the inverse-Gaussian clock"),
     (["evolve", "--mass", "1", "--dt", "0.05", "--steps", "2", "--branch", "5",
       "--masses", "1,2,3", "--snapshot-every", "1"],
      "valid branches are 0 to 2"),

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import kstest, ks_2samp
 
 from levyqm import ExponentParams, LogCharacteristic, eta_relativistic, sampler
 from levyqm.densities import GridError, default_grid, transition_density
@@ -50,10 +50,12 @@ def test_ig_matches_plain_formula():
     rng = SeededGenerator(4).generator()
     nu, u = rng.standard_normal(n), rng.random(n)
     y = nu * nu
-    root = (mean + mean * mean * y / (2.0 * shape)
-            - (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
-                                               + (mean * y) ** 2))
-    expected = np.where(u <= mean / (mean + root), root, mean * mean / root)
+    # the larger root has no cancellation; the smaller is mean^2 / larger
+    large = (mean + mean * mean * y / (2.0 * shape)
+             + (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y
+                                                + (mean * y) ** 2))
+    small = mean * mean / large
+    expected = np.where(u <= mean / (mean + small), small, large)
     draws = sample_inverse_gaussian(mean, shape, SeededGenerator(4), size=n)
     assert draws.tobytes() == expected.tobytes()
 
@@ -135,6 +137,26 @@ def test_clock_overflow_names_the_limit():
     assert x.var() / 1e101 == pytest.approx(1.0, rel=0.2)
 
 
+def test_clock_underflow_names_the_limit():
+    # below dt/tau = sqrt(DBL_MIN) at a = 1 the clock shape (dt/tau)^2 is
+    # no normal double (at 1e-200 it is 0)
+    for dt in (1e-155, 1e-200):
+        with pytest.raises(ValueError, match=r"1\.49e-154 <= dt/tau"):
+            sample_increment(dt, UNIT, SeededGenerator(0), size=4)
+    with pytest.raises(ValueError, match="underflows"):
+        sample_endpoints(1e-200, UNIT, SeededGenerator(0), 4)
+
+
+@pytest.mark.parametrize("T", [1e-8, 1e-20, 1e-150])
+def test_small_horizon_endpoints_are_cauchy(T):
+    # the NIG law of X(T) tends to Cauchy(a T/tau) as alpha delta = T/tau
+    # -> 0; a cancelling Michael-Schucany-Haas root gave NaN and exact 0
+    x = sample_endpoints(T, UNIT, SeededGenerator(31), 10 ** 5)
+    assert np.all(np.isfinite(x)) and np.all(x != 0.0)
+    scale = UNIT.a * T / UNIT.tau
+    assert kstest(x / scale, "cauchy").pvalue > 0.01
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 1.0]), positions=np.array([1.0, 2.0]))
@@ -170,11 +192,13 @@ def test_semigroup_at_sample_level():
 # ---------------------------------------------------------------------------
 
 def summed_increments(dt, rng, n, steps):
-    """Endpoints as the step-ordered sum of `steps` sample_increment calls."""
-    total = sample_increment(dt, UNIT, rng, size=n)
+    """Endpoints sqrt(S) Z: `steps` clocks summed in step order, then one
+    normal per path, all from `rng`."""
+    mean, shape = sampler._clock_law(dt, UNIT)
+    clock = sample_inverse_gaussian(mean, shape, rng, size=n)
     for _ in range(steps - 1):
-        total += sample_increment(dt, UNIT, rng, size=n)
-    return total
+        clock += sample_inverse_gaussian(mean, shape, rng, size=n)
+    return np.sqrt(clock) * rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
@@ -252,6 +276,13 @@ def test_ks_validation_primary(reference_table):
     report = ks_validate(samples, reference_table)
     assert report.passed
     assert report.threshold == pytest.approx(1.63 / math.sqrt(10 ** 5))
+
+
+def test_ks_validation_of_summed_clocks(reference_table):
+    # 100 inverse-Gaussian step clocks summed, then one normal per path
+    samples = sample_endpoints(1.0, UNIT, SeededGenerator(43), 10 ** 5,
+                               steps=100)
+    assert ks_validate(samples, reference_table).passed
 
 
 def test_ks_calibration_from_inverse_cdf(reference_table):
