@@ -351,7 +351,12 @@ def cmd_simulate(args) -> int:
     gen = SeededGenerator(seed=args.seed, stream=args.stream)
     endpoints = sample_endpoints(args.t, params, gen, args.paths,
                                  steps=args.steps)
+    eta = LogCharacteristic.relativistic(params)
+    grid = default_grid(params, args.t)
+    reference = transition_density(args.t, params, eta, grid)
+    report = ks_validate(endpoints, reference)
 
+    # written only once the validation has run, so an exit 2 leaves no file
     paths_file = None
     if args.full_paths:
         positions = sample_paths(
@@ -365,10 +370,6 @@ def cmd_simulate(args) -> int:
                   [np.repeat(np.arange(args.full_paths), args.steps + 1),
                    np.tile(times, args.full_paths), positions.ravel()])
 
-    eta = LogCharacteristic.relativistic(params)
-    grid = default_grid(params, args.t)
-    reference = transition_density(args.t, params, eta, grid)
-    report = ks_validate(endpoints, reference)
     variance = float(endpoints.var())
     law_variance = moments(reference, 2)
 

@@ -13,9 +13,12 @@ kept in a small cache: a run of equal steps evaluates eta and exp once.
 eta must therefore be a pure function of u.  Complex transforms use
 ``scipy.fft``: faster, and on complex input bit-identical to
 ``numpy.fft`` from numpy 2, which moved to the same C++ pocketfft (the
-tests compare the two).  A branch of a cutoff spectrum evolves the same
-way at its branch mass, which ``evolve_modified`` reads from the given
-``SpectrumSolution`` without solving the spectrum again.
+tests compare the two).  It is imported by the three functions that
+transform, not by the module: the import takes ~0.25 s, and a process
+that never steps a packet (every subcommand but evolve) skips it.  A
+branch of a cutoff spectrum evolves the same way at its branch mass,
+which ``evolve_modified`` reads from the given ``SpectrumSolution``
+without solving the spectrum again.
 
 For the pure-jump relativistic process the same generator has the
 integro-differential form
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .densities import GridError, GridSpec, levy_density_1d
 from .exponents import ExponentParams, LogCharacteristic, eta_relativistic
@@ -136,6 +138,8 @@ def observables(psi: WaveFunction) -> Observables:
     x = psi.grid.x_centers()
     centroid = float(np.sum(x * prob))
     variance = float(np.sum((x - centroid) ** 2 * prob))
+    # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
+    import scipy.fft
     spectral = np.abs(scipy.fft.fft(psi.values)) ** 2
     u = psi.grid.u_fft()
     momentum = float(np.sum(u * spectral) / spectral.sum())
@@ -158,6 +162,8 @@ def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFuncti
     The multiplier comes from a cache keyed on (grid, dt, eta, tau).
     """
     multiplier = _spectral_multiplier(psi.grid, dt, eta, tau)
+    # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
+    import scipy.fft
     values = scipy.fft.ifft(multiplier * scipy.fft.fft(psi.values))
     return WaveFunction.from_samples(psi.grid, values, normalize=False)
 
@@ -253,6 +259,8 @@ def evolve_jump_quadrature(psi: WaveFunction, dt: float,
 
     symbol, jmax, tail = _jump_kernel(psi.grid, params)
     v = psi.values
+    # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
+    import scipy.fft
     jump = scipy.fft.ifft(symbol * scipy.fft.fft(v))
 
     new_values = v + 1j * (dt / params.tau) * jump

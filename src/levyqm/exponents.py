@@ -19,7 +19,11 @@ vectorized tanh-sinh quadrature (``scipy.integrate.tanhsinh``) on
 doubling panels, calling W on arrays a few times per array.  The only
 special function needed anywhere is the modified Bessel function K_n
 for n = 0, 1, 2, taken from ``scipy.special``; the tests check it
-against mpmath, quadrature and recurrence oracles.
+against mpmath, quadrature and recurrence oracles.  Both scipy modules
+are imported inside the function that calls them, not here: together
+they take ~0.5 s to import, several times the work of most CLI
+subcommands, and the spectrum, density and simulate commands need
+neither.
 
 Natural units throughout: hbar = c = 1, masses in GeV, lengths and
 times in GeV^-1.
@@ -33,8 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
-from scipy.integrate import tanhsinh
 
 # log(1e-12): characteristic-function decay demanded at the Nyquist edge
 LOG_DECAY_CRITERION = math.log(1e-12)
@@ -71,9 +73,6 @@ class QuadratureToleranceError(RuntimeError):
 # modified Bessel functions K0, K1, K2
 # ---------------------------------------------------------------------------
 
-_KN = {0: special.k0, 1: special.k1, 2: functools.partial(special.kn, 2)}
-
-
 def bessel_k(order: int, z):
     """Modified Bessel function K_order(z) for order in {0, 1, 2}, z > 0.
 
@@ -81,12 +80,14 @@ def bessel_k(order: int, z):
     ACM TOMS 644); relative accuracy ~1e-15 over z in [1e-8, 690].
     Underflows cleanly to 0 for very large z.  Accepts scalars or arrays.
     """
-    if order not in _KN:
+    if order not in (0, 1, 2):
         raise ValueError(f"unsupported Bessel order {order!r}; only K0, K1, K2")
     z_arr = np.asarray(z, dtype=float)
     if not ((z_arr > 0.0) & np.isfinite(z_arr)).all():
         raise ValueError("bessel_k requires strictly positive finite argument")
-    out = _KN[order](z_arr)
+    # importing scipy.special costs ~0.23 s; spectrum, density and simulate never do
+    from scipy import special
+    out = special.kn(2, z_arr) if order == 2 else (special.k0, special.k1)[order](z_arr)
     return float(out) if z_arr.ndim == 0 else out
 
 
@@ -261,6 +262,8 @@ def eta_from_triplet(u, triplet: LevyTriplet,
         panels, sums = np.zeros((2, 3, flat.size, n))
         stop = np.zeros(flat.size, dtype=int)
         edges = np.append(0.0, s * 2.0 ** np.arange(n, dtype=float))
+        # importing scipy.integrate costs ~0.48 s; no CLI subcommand runs this
+        from scipy.integrate import tanhsinh
         last = 0
         while last < n and not stop.all():
             first, last = last, min(last + PANEL_BATCH, n)

@@ -34,6 +34,9 @@ The modified denominator is -m^2 (g(-k^2/m^2) - 1): it vanishes exactly
 at k = m sqrt(-x_i) for the negative spectrum roots x_i, and the first
 such k inside the top cutoff raises NonpositiveDenominatorError, as does
 the first k where the mass-type 1 + f(-k^2/m^2) turns negative.
+QUADPACK (``scipy.integrate.quad``) is imported inside
+``loop_integral``: importing scipy.integrate takes ~0.5 s, and pole
+finding never integrates.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectrum import CutoffPolynomial, SpectrumSolution, f_eval
 
@@ -254,6 +256,8 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
 
     features = [pE] + [mass for mass in spectrum.masses if mass > 0]
 
+    # importing scipy.integrate costs ~0.48 s; of the subcommands only loop needs it
+    from scipy.integrate import quad
     values = {}
     increments = {}
     tail_fits = {}

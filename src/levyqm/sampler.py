@@ -101,24 +101,50 @@ class KSReport:
 # Michael-Schucany-Haas kernel
 # ---------------------------------------------------------------------------
 
+# Michael-Schucany-Haas draws stay finite and nonzero while shape and
+# mean^2 are normal doubles and 4 mean shape y and (mean y)^2 are finite
+# for every y = nu^2 < 14^2 (numpy's ziggurat normals stay below
+# r + 53 ln 2 / r = 13.7).
+_IG_SQUARE_MIN = sys.float_info.min
+_IG_MEAN_MAX = math.sqrt(sys.float_info.max) / 14.0 ** 2
+_IG_MEAN_SHAPE_MAX = sys.float_info.max / (4.0 * 14.0 ** 2)
+
+
+def _check_clock(mean: float, shape: float):
+    """(mean, shape) if IG(mean, shape) draws stay in double precision.
+
+    Raises ValueError naming the range otherwise: past it the draws
+    collapse to 0 or overflow to inf.
+    """
+    if not (shape >= _IG_SQUARE_MIN and mean * mean >= _IG_SQUARE_MIN
+            and mean < _IG_MEAN_MAX and mean * shape < _IG_MEAN_SHAPE_MAX):
+        raise ValueError(
+            f"inverse-Gaussian mean {mean:g} and shape {shape:g} leave the "
+            f"double-precision range shape >= {_IG_SQUARE_MIN:.3g}, "
+            f"{math.sqrt(_IG_SQUARE_MIN):.3g} <= mean < {_IG_MEAN_MAX:.3g} "
+            f"and mean * shape < {_IG_MEAN_SHAPE_MAX:.3g}")
+    return mean, shape
+
+
 def _clock_law(dt: float, params: ExponentParams):
     """(mean, shape) of the inverse-Gaussian clock of a time-dt increment.
 
-    Past ``limit``, 4 mean shape y or (mean y)^2 overflows in
-    ``_inverse_gaussian`` for some y = nu^2 < 14^2 (numpy's ziggurat
-    normals stay below r + 53 ln 2 / r = 13.7); shape must stay normal.
+    mean = a^2 dt/tau and shape = a^2 (dt/tau)^2; outside the range of
+    ``_check_clock`` the error names the range of dt/tau instead.
     """
-    ratio, a2, y = dt / params.tau, params.a ** 2, 14.0 ** 2
-    big, tiny = sys.float_info.max, sys.float_info.min
-    limit = min((big / (4.0 * y * a2 * a2)) ** (1.0 / 3.0),
-                math.sqrt(big) / (y * a2))
-    if not (ratio < limit and a2 * ratio ** 2 >= tiny):
-        flow = "underflows" if ratio < limit else "overflows"
+    ratio, a2 = dt / params.tau, params.a ** 2
+    try:
+        return _check_clock(a2 * ratio, a2 * ratio ** 2)
+    except (OverflowError, ValueError):
+        root = math.sqrt(_IG_SQUARE_MIN)
+        low = max(root / params.a, root / a2)
+        high = min(_IG_MEAN_SHAPE_MAX ** (1.0 / 3.0) / a2 ** (2.0 / 3.0),
+                   _IG_MEAN_MAX / a2)
+        flow = "underflows" if ratio < high else "overflows"
         raise ValueError(
             f"dt/tau = {ratio:g} {flow} the inverse-Gaussian clock, whose "
-            f"double-precision range is {math.sqrt(tiny / a2):.3g} <= dt/tau "
-            f"< {limit:.3g}; choose a step inside it")
-    return a2 * ratio, a2 * ratio ** 2
+            f"double-precision range is {low:.3g} <= dt/tau < {high:.3g}; "
+            "choose a step inside it") from None
 
 
 def _inverse_gaussian(mean, shape, rng, size):
@@ -179,7 +205,7 @@ def sample_inverse_gaussian(mean: float, shape: float, g, size=None):
     """Inverse-Gaussian draw(s) by the Michael-Schucany-Haas transform."""
     if mean <= 0 or shape <= 0:
         raise ValueError("inverse-Gaussian mean and shape must be positive")
-    out = _inverse_gaussian(mean, shape, _as_generator(g), size)
+    out = _inverse_gaussian(*_check_clock(mean, shape), _as_generator(g), size)
     return float(out) if size is None else out
 
 

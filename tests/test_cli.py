@@ -1,13 +1,17 @@
 import argparse
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levyqm
 from levyqm.cli import build_parser, main, write_csv
 from levyqm.presets import PRESET_MASSES, REFERENCE_LAMBDAS
 
@@ -298,6 +302,12 @@ EDGE_INPUTS = [
     # shape (dt/tau)^2 = 1e-400 is no normal double
     (["simulate", "--mass", "1", "--t", "1e-200", "--paths", "10"],
      "underflows the inverse-Gaussian clock"),
+    # the KS validation runs before the full paths are written
+    (["simulate", "--mass", "1", "--t", "0.01", "--paths", "2000",
+      "--full-paths", "3", "--steps", "2"],
+     "reference grid carries 7.21e-08 mass per edge cell"),
+    (["simulate", "--mass", "1", "--t", "1", "--paths", "500", "--full-paths", "3"],
+     "need at least 1e3 samples"),
     (["evolve", "--mass", "1", "--dt", "0.05", "--steps", "2", "--branch", "5",
       "--masses", "1,2,3", "--snapshot-every", "1"],
      "valid branches are 0 to 2"),
@@ -509,3 +519,33 @@ def test_write_csv_matches_per_value_format(tmp_path, columns):
     reference_write_csv(tmp_path / "ref.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy modules are imported by the functions that call them
+# ---------------------------------------------------------------------------
+
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(levyqm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage():
+    loaded = scipy_modules_after("import levyqm.cli")
+    assert not loaded & {"scipy.integrate", "scipy.special", "scipy.fft"}
+
+
+def test_spectrum_fit_loads_no_scipy(tmp_path):
+    out = tmp_path / "fit.json"
+    assert scipy_modules_after(
+        "import levyqm.cli\n"
+        f"assert levyqm.cli.main(['spectrum', 'fit', '--masses', '1,2,3', "
+        f"'-o', {str(out)!r}]) == 0") == set()
+    assert out.is_file()

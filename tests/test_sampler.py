@@ -45,6 +45,21 @@ def test_ig_domain():
         sample_inverse_gaussian(1.0, 0.0, SeededGenerator(0))
 
 
+@pytest.mark.parametrize("mean, shape", [(1.0, 1e-310), (1e200, 1.0), (1e-200, 1.0)])
+def test_ig_outside_double_range_names_it(mean, shape):
+    # shape subnormal, or mean^2 underflowing, made every draw 0; a huge
+    # mean made every draw inf
+    with pytest.raises(ValueError, match=r"double-precision range shape >= 2\.23e-308"):
+        sample_inverse_gaussian(mean, shape, SeededGenerator(0), size=10)
+
+
+def test_heavy_mass_clock_range_covers_the_mean():
+    # at m = 1e10 (a^2 = 1e-20) and dt/tau = 1.5e-144 the shape is normal
+    # but mean^2 underflows, which made every clock draw 0
+    with pytest.raises(ValueError, match=r"range is 1\.49e-134 <= dt/tau < 1\.32e\+115"):
+        sample_increment(1.5e-154, ExponentParams.from_mass(1e10), SeededGenerator(0))
+
+
 def test_ig_matches_plain_formula():
     mean, shape, n = 0.7, 2.3, 1000
     rng = SeededGenerator(4).generator()
