@@ -11,7 +11,8 @@ significant digits so files diff exactly at double precision.
 Commands with a cutoff source (--preset, --lambdas with --mass, or
 --masses) solve its spectrum once, in ``_cutoff_from_args``, and pass
 that one ``SpectrumSolution`` to the library; its base mass and
-coefficients are the run's.
+coefficients are the run's.  ``main`` builds its parser once per
+process and looks each handler up by name when it runs.
 
 Exit codes: 0 success, 2 domain errors, 3 degenerate spectrum, 4 I/O.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -260,6 +262,8 @@ def cmd_levy_measure(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ValueError(f"--dt must be finite and positive, got {args.dt!r}")
     params = ExponentParams.from_mass(args.mass)
     grid = GridSpec(n=args.n, dx=args.dx)
     psi = gaussian_packet(args.x0, args.p0, args.sigma, grid)
@@ -440,9 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output")
 
+    # the handler is recorded by name and looked up when main runs, so a
+    # parser built once still calls whatever cmd_* the module holds then
     def command(subparsers, func, name, help):
         p = subparsers.add_parser(name, parents=[output], help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     p = command(sub, cmd_exponent, "exponent", "tabulate a log-characteristic")
@@ -525,10 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -10,15 +10,18 @@ are eigenfunctions with kinetic energy E0 = -eta(u)/tau; the rest-mass
 phase is absorbed throughout, so all reported energies are kinetic.
 The multiplier is fixed by (grid, dt, eta, tau), so it is built once and
 kept in a small cache: a run of equal steps evaluates eta and exp once.
-eta must therefore be a pure function of u.  Complex transforms use
-``scipy.fft``: faster, and on complex input bit-identical to
-``numpy.fft`` from numpy 2, which moved to the same C++ pocketfft (the
-tests compare the two).  It is imported by the three functions that
-transform, not by the module: the import takes ~0.25 s, and a process
-that never steps a packet (every subcommand but evolve) skips it.  A
-branch of a cutoff spectrum evolves the same way at its branch mass,
-which ``evolve_modified`` reads from the given ``SpectrumSolution``
-without solving the spectrum again.
+eta must therefore be a pure function of u.  A wave function's values
+are read-only, so its transform psi_hat is computed once, on first use,
+and shared by ``observables`` and the step: a run that records the
+observables and then steps each packet does one forward and one inverse
+transform per step.  Complex transforms use ``scipy.fft``: faster, and
+on complex input bit-identical to ``numpy.fft`` from numpy 2, which
+moved to the same C++ pocketfft (the tests compare the two).  It is
+imported where a transform is taken, not by the module: the import
+takes ~0.25 s, and a process that never steps a packet (every
+subcommand but evolve) skips it.  A branch of a cutoff spectrum evolves
+the same way at its branch mass, which ``evolve_modified`` reads from
+the given ``SpectrumSolution`` without solving the spectrum again.
 
 For the pure-jump relativistic process the same generator has the
 integro-differential form
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +64,9 @@ class WaveFunction:
 
     Spectral steps preserve the norm to rounding (< 1e-10 drift over
     thousands of steps); the explicit jump step carries its documented
-    O(dt^2) drift, so the construction gate here is 1e-7.
+    O(dt^2) drift, so the construction gate here is 1e-7, and a NaN
+    norm fails it.  ``values`` must be read-only, since ``transform``
+    is computed once and kept; ``from_samples`` makes such a copy.
     """
 
     grid: GridSpec
@@ -69,9 +74,21 @@ class WaveFunction:
 
     def __post_init__(self):
         norm = float(np.sum(np.abs(self.values) ** 2) * self.grid.dx)
-        if abs(norm - 1.0) > 1e-7:
+        if not abs(norm - 1.0) <= 1e-7:
             raise ValueError(f"wave function norm {norm!r} deviates from 1 "
                              "beyond 1e-7")
+        if np.asarray(self.values).flags.writeable:
+            raise ValueError("wave function values must be read-only; build "
+                             "one with WaveFunction.from_samples")
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        """psi_hat = fft(values) in numpy fft order, read-only."""
+        # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
+        import scipy.fft
+        transform = scipy.fft.fft(self.values)
+        transform.setflags(write=False)
+        return transform
 
     @classmethod
     def from_samples(cls, grid: GridSpec, values, normalize: bool = True):
@@ -130,18 +147,24 @@ def gaussian_packet(x0: float, p0: float, sigma: float,
     return WaveFunction.from_samples(grid, envelope * np.exp(1j * p0 * x))
 
 
+@lru_cache(maxsize=8)
+def _axes(grid: GridSpec):
+    """The grid's x centers and FFT frequencies u, read-only."""
+    x, u = grid.x_centers(), grid.u_fft()
+    x.setflags(write=False)
+    u.setflags(write=False)
+    return x, u
+
+
 def observables(psi: WaveFunction) -> Observables:
     dx = psi.grid.dx
+    x, u = _axes(psi.grid)
     density = np.abs(psi.values) ** 2
     norm = float(density.sum() * dx)
     prob = density / density.sum()
-    x = psi.grid.x_centers()
     centroid = float(np.sum(x * prob))
     variance = float(np.sum((x - centroid) ** 2 * prob))
-    # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
-    import scipy.fft
-    spectral = np.abs(scipy.fft.fft(psi.values)) ** 2
-    u = psi.grid.u_fft()
+    spectral = np.abs(psi.transform) ** 2
     momentum = float(np.sum(u * spectral) / spectral.sum())
     return Observables(norm=norm, centroid=centroid, variance=variance,
                        momentum_centroid=momentum)
@@ -150,7 +173,7 @@ def observables(psi: WaveFunction) -> Observables:
 @lru_cache(maxsize=8)
 def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
     """exp(i dt eta(u) / tau) on the grid's FFT frequencies, read-only."""
-    u = grid.u_fft()
+    _, u = _axes(grid)
     multiplier = np.exp(1j * (dt / tau) * np.asarray(eta(u), dtype=float))
     multiplier.setflags(write=False)
     return multiplier
@@ -159,12 +182,12 @@ def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
 def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFunction:
     """Exact free step: multiply psi_hat by exp(i dt eta(u) / tau).
 
-    The multiplier comes from a cache keyed on (grid, dt, eta, tau).
+    The multiplier comes from a cache keyed on (grid, dt, eta, tau), and
+    psi_hat from ``psi.transform``.
     """
     multiplier = _spectral_multiplier(psi.grid, dt, eta, tau)
-    # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
     import scipy.fft
-    values = scipy.fft.ifft(multiplier * scipy.fft.fft(psi.values))
+    values = scipy.fft.ifft(multiplier * psi.transform)
     return WaveFunction.from_samples(psi.grid, values, normalize=False)
 
 
@@ -258,12 +281,10 @@ def evolve_jump_quadrature(psi: WaveFunction, dt: float,
             f"{JUMP_STABILITY_FACTOR:g} tau = {JUMP_STABILITY_FACTOR * params.tau:g}")
 
     symbol, jmax, tail = _jump_kernel(psi.grid, params)
-    v = psi.values
-    # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
     import scipy.fft
-    jump = scipy.fft.ifft(symbol * scipy.fft.fft(v))
+    jump = scipy.fft.ifft(symbol * psi.transform)
 
-    new_values = v + 1j * (dt / params.tau) * jump
+    new_values = psi.values + 1j * (dt / params.tau) * jump
 
     eta_sup = abs(eta_relativistic(psi.grid.u_max, params))
     report = JumpStepReport(

@@ -134,7 +134,8 @@ def _clock_law(dt: float, params: ExponentParams):
     """
     ratio, a2 = dt / params.tau, params.a ** 2
     try:
-        return _check_clock(a2 * ratio, a2 * ratio ** 2)
+        # (a ratio)^2, not a2 ratio^2: ratio^2 alone may go subnormal
+        return _check_clock(a2 * ratio, (params.a * ratio) ** 2)
     except (OverflowError, ValueError):
         root = math.sqrt(_IG_SQUARE_MIN)
         low = max(root / params.a, root / a2)

@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 import levyqm
+from levyqm import cli
 from levyqm.cli import build_parser, main, write_csv
+from levyqm.densities import GridSpec
+from levyqm.evolution import gaussian_packet
+from levyqm.exponents import ExponentParams, eta_relativistic
 from levyqm.presets import PRESET_MASSES, REFERENCE_LAMBDAS
+from levyqm.spectrum import MassTriple, fit_masses
 
 
 def read_csv_columns(path):
@@ -311,6 +316,12 @@ EDGE_INPUTS = [
     (["evolve", "--mass", "1", "--dt", "0.05", "--steps", "2", "--branch", "5",
       "--masses", "1,2,3", "--snapshot-every", "1"],
      "valid branches are 0 to 2"),
+    # a NaN step made a NaN field that passed the norm gate: exit 0
+    (["evolve", "--mass", "1", "--dt", "nan", "--steps", "2",
+      "--snapshot-every", "1"],
+     "--dt must be finite and positive, got nan"),
+    (["evolve", "--mass", "1", "--dt", "-0.05", "--steps", "2"],
+     "--dt must be finite and positive, got -0.05"),
 ]
 
 
@@ -490,6 +501,91 @@ def test_readme_command_records_every_argument(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["-o", str(out)]) == 0
     assert declared_dests(argv) <= set(provenance_of(out)["parameters"])
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: built.append(1) or real())
+    for i in range(3):
+        assert main(["spectrum", "fit", "--masses", "1,2,3",
+                     "-o", str(tmp_path / f"fit{i}.json")]) == 0
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_main_runs_the_handler_the_module_holds(tmp_path, monkeypatch):
+    # the parser is built once, but a cmd_* replaced later (a test double,
+    # a tracing wrapper) is the one that runs
+    assert main(["exponent", "--mass", "1", "--points", "4",
+                 "-o", str(tmp_path / "e.csv")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_exponent",
+                        lambda args: calls.append(args.mass) or 0)
+    assert main(["exponent", "--mass", "2", "-o", str(tmp_path / "f.csv")]) == 0
+    assert calls == [2.0]
+    assert not (tmp_path / "f.csv").exists()
+
+
+README_EVOLVE = [
+    ["evolve", "--mass", "1", "--dt", "0.05", "--steps", "200", "--sigma", "2",
+     "--p0", "1"],
+    ["evolve", "--mass", "1", "--dt", "0.05", "--steps", "200", "--branch", "1",
+     "--masses", "1,2,3"],
+]
+
+
+@pytest.mark.parametrize("argv", README_EVOLVE, ids=" ".join)
+def test_evolve_transforms_once_per_step(tmp_path, monkeypatch, argv):
+    import scipy.fft
+    counts = {"fft": 0, "ifft": 0}
+    for name, real in [("fft", scipy.fft.fft), ("ifft", scipy.fft.ifft)]:
+        def counted(*a, _name=name, _real=real, **k):
+            counts[_name] += 1
+            return _real(*a, **k)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    argv = [*argv]
+    argv[argv.index("--steps") + 1] = "50"
+    assert main(argv + ["-o", str(tmp_path / "e.csv")]) == 0
+    assert counts == {"fft": 51, "ifft": 50}
+
+
+def reference_evolve(path, mass, dt, steps, sigma=1.0, p0=0.0):
+    """The README evolve loop, transforming each packet twice per step
+    (once for the momentum centroid, once for the step) as it used to."""
+    import scipy.fft
+    grid = GridSpec(n=2 ** 12, dx=0.05)
+    x, u = grid.x_centers(), grid.u_fft()
+    params = ExponentParams.from_mass(mass)
+    multiplier = np.exp(1j * (dt / params.tau) * eta_relativistic(u, params))
+    psi = gaussian_packet(0.0, p0, sigma, grid).values
+    rows = []
+    for step in range(steps + 1):
+        density = np.abs(psi) ** 2
+        prob = density / density.sum()
+        centroid = float(np.sum(x * prob))
+        spectral = np.abs(scipy.fft.fft(psi)) ** 2
+        rows.append((step * dt, float(density.sum() * grid.dx), centroid,
+                     float(np.sum((x - centroid) ** 2 * prob)),
+                     float(np.sum(u * spectral) / spectral.sum())))
+        if step < steps:
+            psi = scipy.fft.ifft(multiplier * scipy.fft.fft(psi))
+    reference_write_csv(path, ["t", "norm", "centroid", "variance",
+                               "momentum_centroid"], list(zip(*rows)))
+
+
+@pytest.mark.parametrize("argv", README_EVOLVE, ids=" ".join)
+def test_readme_evolve_bytes_match_the_reference_loop(tmp_path, argv):
+    assert argv in readme_commands()
+    assert main(argv + ["-o", str(tmp_path / "cli.csv")]) == 0
+    if "--branch" in argv:
+        spectrum = fit_masses(MassTriple.from_values([1.0, 2.0, 3.0]))
+        reference_evolve(tmp_path / "ref.csv", spectrum.masses[1], 0.05, 200)
+    else:
+        reference_evolve(tmp_path / "ref.csv", 1.0, 0.05, 200, sigma=2.0, p0=1.0)
+    assert (tmp_path / "cli.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def reference_write_csv(path, header, columns):

@@ -51,8 +51,36 @@ def test_packet_containment_guard():
 def test_wavefunction_norm_gate():
     grid = packet_grid()
     bad = np.ones(grid.n) * 0.001
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="deviates from 1"):
         WaveFunction(grid=grid, values=bad)
+
+
+def test_wavefunction_norm_gate_rejects_nan():
+    # abs(nan - 1) > 1e-7 is False: a NaN norm passed the old gate
+    grid = packet_grid()
+    with pytest.raises(ValueError, match="norm nan deviates from 1"):
+        WaveFunction.from_samples(grid, np.full(grid.n, np.nan), normalize=False)
+    with pytest.raises(ValueError, match="norm nan deviates from 1"):
+        evolve_spectral(gaussian_packet(0.0, 0.0, 1.0, grid), math.nan, ETA,
+                        UNIT.tau)
+
+
+def test_writable_values_cannot_leave_a_stale_transform():
+    import scipy.fft
+    grid = packet_grid()
+    values = gaussian_packet(0.0, 1.0, 1.0, grid).values.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        WaveFunction(grid=grid, values=values)
+    psi = WaveFunction.from_samples(grid, values, normalize=False)
+    before = psi.transform.copy()
+    values *= 1j
+    with pytest.raises(ValueError, match="read-only"):
+        psi.values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        psi.transform[0] = 0.0
+    assert psi.transform is psi.transform
+    np.testing.assert_array_equal(psi.transform, before)
+    np.testing.assert_array_equal(psi.transform, scipy.fft.fft(psi.values))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_heavy_mass_clock_range_covers_the_mean():
         sample_increment(1.5e-154, ExponentParams.from_mass(1e10), SeededGenerator(0))
 
 
+def test_light_mass_clock_shape_keeps_its_bits():
+    # at m = 1e-10 (a = 1e10) and dt/tau = 1e-160, (dt/tau)^2 alone is
+    # subnormal: a^2 (dt/tau)^2 read 9.99989e-301
+    params = ExponentParams.from_mass(1e-10)
+    mean, shape = sampler._clock_law(1e-160 * params.tau, params)
+    assert shape / 1e-300 == pytest.approx(1.0, rel=1e-15)
+    assert mean / 1e-140 == pytest.approx(1.0, rel=1e-15)
+
+
 def test_ig_matches_plain_formula():
     mean, shape, n = 0.7, 2.3, 1000
     rng = SeededGenerator(4).generator()
