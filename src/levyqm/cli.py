@@ -519,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, cmd_simulate, "simulate", "sample the pure-jump process")
     p.add_argument("--mass", type=float, required=True)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=int, default=1,
+                   help="time steps of the --full-paths grid; the endpoints "
+                        "do not depend on it")
     p.add_argument("--paths", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)

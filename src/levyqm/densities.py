@@ -142,6 +142,11 @@ def required_dx(eta, dt: float, tau: float) -> float:
     return math.pi / hi
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite (got dt = {dt})")
+
+
 def default_grid(params: ExponentParams, dt: float, n: int = 2 ** 14,
                  margin: float = 4.0) -> GridSpec:
     """Grid meeting the decay criterion with a safety margin on u_max.
@@ -150,8 +155,7 @@ def default_grid(params: ExponentParams, dt: float, n: int = 2 ** 14,
     |eta(u*)| = c = -log(1e-12) tau / dt, so a u* = sqrt(c (2 + c)),
     which keeps its digits at large dt; dx = pi / (margin u*).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     c = -LOG_DECAY_CRITERION * params.tau / dt
     u_star = math.sqrt(c * (2.0 + c)) / params.a
     return GridSpec(n=n, dx=math.pi / (margin * u_star))
@@ -165,8 +169,7 @@ def transition_density(dt: float, params: ExponentParams, eta,
     Nyquist edge; violations raise GridError naming the dx that would
     satisfy the criterion.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if nyquist_margin(eta, dt, params.tau, grid) < 1.0:
         raise GridError(
             f"grid too coarse: |phi(u_max)| >= 1e-12 at u_max = {grid.u_max:g}; "

@@ -16,13 +16,15 @@ fixed key reproduces byte-identical output on any platform.
 ``sample_endpoints`` takes a SeededGenerator and cuts the paths into
 tiles of TILE (the last one partial).  Tile b draws from the (seed,
 stream) Philox jumped b times, 2^128 draws apart (Salmon et al., SC'11);
-tile 0 is that generator itself.  A sum of increments sqrt(S_j) Z_j
-has the law of sqrt(S_1 + ... + S_n) Z, so a tile adds its paths' step
-clocks in step order into its endpoints, then takes X(T) = sqrt(S(T)) Z
-with one normal per path.  Memory is O(workers x TILE), not O(paths x
-steps), and since every tile draws from its own stream, the tiles can
-run on a thread pool (one worker per usable core) and the output bytes
-do not depend on the worker count.  TILE is part of this stream layout.
+tile 0 is that generator itself.  IG laws with one lam/mu^2 are closed
+under sums (Tweedie 1957), and here lam/mu^2 = 1/a^2 at every dt, so the
+n step clocks of a path add up to one IG draw of the time-T clock; with
+sqrt(S_1) Z_1 + ... + sqrt(S_n) Z_n ~ sqrt(S_1 + ... + S_n) Z, a tile
+draws X(T) = sqrt(S(T)) Z with one clock and one normal per path,
+whatever the step count.  Memory is O(workers x TILE), and since every
+tile draws from its own stream, the tiles can run on a thread pool (one
+worker per usable core) and the output bytes do not depend on the worker
+count.  TILE is part of this stream layout.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -133,6 +134,9 @@ def _clock_law(dt: float, params: ExponentParams):
     ``_check_clock`` the error names the range of dt/tau instead.
     """
     ratio, a2 = dt / params.tau, params.a ** 2
+    if math.isnan(ratio):
+        raise ValueError(f"dt/tau is not a number (dt = {dt}); choose a "
+                         "finite, positive step")
     try:
         # (a ratio)^2, not a2 ratio^2: ratio^2 alone may go subnormal
         return _check_clock(a2 * ratio, (params.a * ratio) ** 2)
@@ -170,14 +174,6 @@ def _increments(mean, shape, rng, size):
     """Increments sqrt(S) Z, drawing nu, u, then z."""
     clock = _inverse_gaussian(mean, shape, rng, size)
     return np.sqrt(clock) * rng.standard_normal(size)
-
-
-def _endpoint_tile(mean, shape, steps, rng, out):
-    """sqrt(S) Z per path of one tile, S its step clocks added in order."""
-    out[:] = _inverse_gaussian(mean, shape, rng, out.shape)
-    for _ in range(steps - 1):
-        out += _inverse_gaussian(mean, shape, rng, out.shape)
-    out[:] = np.sqrt(out) * rng.standard_normal(out.shape)
 
 
 def _worker_count() -> int:
@@ -247,28 +243,30 @@ def sample_paths(T: float, steps: int, params: ExponentParams, g,
 
 def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
                      steps: int = 1) -> np.ndarray:
-    """Endpoint draws X(T) for n_paths independent trajectories.
+    """Endpoints X(T) = sqrt(S(T)) Z of n_paths independent trajectories.
 
-    Paths are cut into tiles of TILE; each tile adds its `steps` clocks
-    in step order into S(T) and returns X(T) = sqrt(S(T)) Z.  Tile b draws
-    from the SeededGenerator's Philox jumped b times, and from four tiles'
-    worth of steps on, the tiles run on a thread pool.
+    One time-T clock S(T) and one normal per path (the step clocks sum to
+    S(T) in law), so `steps` (at least 1) changes neither the law nor the
+    bytes.  Tile b of TILE paths draws from the SeededGenerator's Philox
+    jumped b times; from four tiles' worth of paths on, the tiles run on a
+    thread pool.
     """
     if not isinstance(g, SeededGenerator):
         raise TypeError("sample_endpoints draws its tiles from jumped (seed, "
                         "stream) Philox streams; pass a SeededGenerator")
     _check_run(T, steps, n_paths)
-    mean, shape = _clock_law(T / steps, params)
+    mean, shape = _clock_law(T, params)
     out = np.empty(n_paths)
     tiles = [out[s:s + TILE] for s in range(0, n_paths, TILE)]
     first = g.generator()
     rngs = [first] + [np.random.Generator(first.bit_generator.jumped(b))
                       for b in range(1, len(tiles))]
-    # Below about four tiles of increments, starting the threads costs
-    # more than they save.
-    parallel = n_paths * steps >= 4 * TILE
-    workers = min(len(tiles), _worker_count()) if parallel else 1
-    run = partial(_endpoint_tile, mean, shape, steps)
+
+    def run(rng, tile):
+        tile[:] = _increments(mean, shape, rng, tile.shape)
+
+    # Below about four tiles, starting the threads costs more than they save.
+    workers = min(len(tiles), _worker_count()) if n_paths >= 4 * TILE else 1
     if workers == 1:
         list(map(run, rngs, tiles))
     else:

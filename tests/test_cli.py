@@ -300,6 +300,15 @@ EDGE_INPUTS = [
     (["loop", "--lambdas=0.5,0,0", "--mass", "1", "--variant", "mass"],
      "above k = 1.41421, so m sqrt(1 + f) is not real"),
     (["density", "--mass", "1", "--dt", "0"], "dt must be positive"),
+    # a NaN or infinite dt wrote an all-NaN table or raised ZeroDivisionError
+    (["density", "--mass", "1", "--dt", "nan", "--dx", "0.05"],
+     "dt must be positive and finite (got dt = nan)"),
+    (["density", "--mass", "1", "--dt", "inf", "--dx", "0.05"],
+     "dt must be positive and finite (got dt = inf)"),
+    (["density", "--mass", "1", "--dt", "inf"],
+     "dt must be positive and finite (got dt = inf)"),
+    (["simulate", "--mass", "1", "--t", "nan", "--paths", "10"],
+     "dt/tau is not a number"),
     (["simulate", "--mass", "1", "--t", "1e150", "--paths", "10"],
      "overflows the inverse-Gaussian clock"),
     (["simulate", "--mass", "1", "--t", "1e300", "--paths", "10"],

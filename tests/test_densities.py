@@ -106,6 +106,16 @@ def test_dt_must_be_positive():
             default_grid(UNIT, dt)
 
 
+def test_dt_must_be_finite():
+    # a NaN or infinite dt gave an all-NaN table or a ZeroDivisionError
+    grid = default_grid(UNIT, 1.0)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            default_grid(UNIT, dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            transition_density(dt, UNIT, ETA, grid)
+
+
 def test_default_grid_at_a_huge_dt():
     # (1 + c)^2 - 1 rounds to 0 here; c (2 + c) keeps its digits
     dt = 1e300

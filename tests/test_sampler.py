@@ -169,6 +169,15 @@ def test_clock_underflow_names_the_limit():
             sample_increment(dt, UNIT, SeededGenerator(0), size=4)
     with pytest.raises(ValueError, match="underflows"):
         sample_endpoints(1e-200, UNIT, SeededGenerator(0), 4)
+    # only the time-T clock is drawn, so a step T/steps of 1e-200 is fine
+    x = sample_endpoints(1.0, UNIT, SeededGenerator(0), 1000, steps=10 ** 200)
+    assert np.all(np.isfinite(x)) and np.all(x != 0.0)
+
+
+def test_nan_clock_is_named():
+    # NaN fails every range comparison; it neither over- nor underflows
+    with pytest.raises(ValueError, match="dt/tau is not a number"):
+        sample_increment(math.nan, UNIT, SeededGenerator(0), size=4)
 
 
 @pytest.mark.parametrize("T", [1e-8, 1e-20, 1e-150])
@@ -187,10 +196,24 @@ def test_path_validation():
 
 
 def test_endpoint_law_invariant_under_step_count():
-    coarse = sample_endpoints(1.0, UNIT, SeededGenerator(21), 10 ** 5, steps=10)
-    fine = sample_endpoints(1.0, UNIT, SeededGenerator(22), 10 ** 5, steps=1000)
-    stat = ks_2samp(coarse, fine)
-    assert stat.pvalue > 0.01
+    # the last column of step-by-step composed paths against one time-T clock
+    composed = sample_paths(1.0, 100, UNIT, SeededGenerator(21), 20000)[:, -1]
+    direct = sample_endpoints(1.0, UNIT, SeededGenerator(22), 10 ** 5, steps=100)
+    assert ks_2samp(composed, direct).pvalue > 0.01
+
+
+@pytest.mark.parametrize("T, steps", [(1e-3, 7), (1.3, 100), (50.0, 2)])
+def test_inverse_gaussian_clocks_are_closed_under_sums(T, steps):
+    # lam/mu^2 = 1/a^2 at every dt, so `steps` clocks of T/steps sum to
+    # one time-T clock: what sample_endpoints draws instead of the sum
+    n, rng = 2 * 10 ** 5, SeededGenerator(23).generator()
+    summed = np.zeros(n)
+    for _ in range(steps):
+        summed += sample_inverse_gaussian(*sampler._clock_law(T / steps, UNIT),
+                                          rng, size=n)
+    one = sample_inverse_gaussian(*sampler._clock_law(T, UNIT),
+                                  SeededGenerator(24), size=n)
+    assert ks_2samp(summed, one).pvalue > 0.01
 
 
 def test_increment_independence_lag_one():
@@ -215,23 +238,21 @@ def test_semigroup_at_sample_level():
 # tiled endpoints
 # ---------------------------------------------------------------------------
 
-def summed_increments(dt, rng, n, steps):
-    """Endpoints sqrt(S) Z: `steps` clocks summed in step order, then one
-    normal per path, all from `rng`."""
-    mean, shape = sampler._clock_law(dt, UNIT)
-    clock = sample_inverse_gaussian(mean, shape, rng, size=n)
-    for _ in range(steps - 1):
-        clock += sample_inverse_gaussian(mean, shape, rng, size=n)
+def one_clock_endpoints(T, rng, n):
+    """Endpoints sqrt(S(T)) Z: one time-T clock, then one normal per path,
+    all from `rng`."""
+    clock = sample_inverse_gaussian(*sampler._clock_law(T, UNIT), rng, size=n)
     return np.sqrt(clock) * rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7])
-def test_single_tile_is_sum_of_increment_calls(steps):
+def test_single_tile_is_one_clock_draw(steps):
     n = TILE - 5
     ends = sample_endpoints(1.5, UNIT, SeededGenerator(4, 9), n, steps=steps)
-    expected = summed_increments(1.5 / steps, SeededGenerator(4, 9).generator(),
-                                 n, steps)
+    expected = one_clock_endpoints(1.5, SeededGenerator(4, 9).generator(), n)
     assert ends.tobytes() == expected.tobytes()
+    one_step = sample_endpoints(1.5, UNIT, SeededGenerator(4, 9), n, steps=1)
+    assert ends.tobytes() == one_step.tobytes()
 
 
 def test_tile_b_draws_from_philox_jumped_b_times():
@@ -242,17 +263,24 @@ def test_tile_b_draws_from_philox_jumped_b_times():
     philox = np.random.Philox(key=seed | (stream << 64))
     for b, size in enumerate((TILE, TILE, 100)):
         rng = np.random.Generator(philox.jumped(b))
-        expected = summed_increments(0.9 / steps, rng, size, steps)
+        expected = one_clock_endpoints(0.9, rng, size)
         assert ends[b * TILE:b * TILE + size].tobytes() == expected.tobytes()
+    one_step = sample_endpoints(0.9, UNIT, SeededGenerator(seed, stream), n)
+    assert ends.tobytes() == one_step.tobytes()
 
 
 def test_output_does_not_depend_on_worker_count(monkeypatch):
-    args = (1.0, UNIT, SeededGenerator(8, 1), 3 * TILE + 17)
+    # past four tiles' worth of paths, so the thread pool starts
+    args = (1.0, UNIT, SeededGenerator(8, 1), 4 * TILE + 17)
+    pools, pool = [], sampler.ThreadPoolExecutor
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or pool(n))
     runs = {}
     for workers in (1, 2):
         monkeypatch.setattr(sampler, "_worker_count", lambda w=workers: w)
         runs[workers] = sample_endpoints(*args, steps=4).tobytes()
     assert runs[1] == runs[2]
+    assert pools == [2]
 
 
 def test_endpoint_memory_is_bounded():
@@ -303,7 +331,7 @@ def test_ks_validation_primary(reference_table):
 
 
 def test_ks_validation_of_summed_clocks(reference_table):
-    # 100 inverse-Gaussian step clocks summed, then one normal per path
+    # 100 steps: their clocks sum to one time-T clock, one normal per path
     samples = sample_endpoints(1.0, UNIT, SeededGenerator(43), 10 ** 5,
                                steps=100)
     assert ks_validate(samples, reference_table).passed
