@@ -283,6 +283,8 @@ def cmd_evolve(args) -> int:
     snapshots = []
     out = _output_path(args, ".csv")
     for step in range(args.steps + 1):
+        # the next step first: a step that raises leaves no snapshot behind
+        following = stepper(psi) if step < args.steps else None
         obs = observables(psi)
         rows.append((step * args.dt, obs.norm, obs.centroid, obs.variance,
                      obs.momentum_centroid))
@@ -291,8 +293,7 @@ def cmd_evolve(args) -> int:
             write_csv(snap, ["x", "re_psi", "im_psi"],
                       [grid.x_centers(), psi.values.real, psi.values.imag])
             snapshots.append(str(snap))
-        if step < args.steps:
-            psi = stepper(psi)
+        psi = following
 
     header = ("t", "norm", "centroid", "variance", "momentum_centroid")
     emit(args, {

@@ -170,11 +170,24 @@ def observables(psi: WaveFunction) -> Observables:
                        momentum_centroid=momentum)
 
 
+# A phase of P rad is rounded by up to P 2^-52 rad; a step whose largest
+# phase is rounded by more (P above ~4.5e5 rad) is refused.  The README's
+# evolve (m = 1, dt = 0.05, dx = 0.05) turns its fastest mode by ~3 rad.
+PHASE_ROUNDING_MAX = 1e-10
+
+
 @lru_cache(maxsize=8)
 def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
     """exp(i dt eta(u) / tau) on the grid's FFT frequencies, read-only."""
     _, u = _axes(grid)
-    multiplier = np.exp(1j * (dt / tau) * np.asarray(eta(u), dtype=float))
+    phase = (dt / tau) * np.asarray(eta(u), dtype=float)
+    rounding = float(np.max(np.abs(phase))) * 2.0 ** -52
+    if rounding > PHASE_ROUNDING_MAX:  # a NaN dt is left to the norm gate
+        raise ValueError(
+            f"dt = {dt:g} turns the fastest mode by {rounding * 2.0 ** 52:.3g} rad, "
+            f"whose rounding ({rounding:.2g} rad) exceeds {PHASE_ROUNDING_MAX:g} rad; "
+            f"use dt <= {dt * PHASE_ROUNDING_MAX / rounding:.3g}")
+    multiplier = np.exp(1j * phase)
     multiplier.setflags(write=False)
     return multiplier
 

@@ -14,16 +14,10 @@ integral
     eta(u) = -beta^2 u^2 / 2 + integral (cos(u x) - 1) W(x) dx,
 
 which is the consistency check tying the closed form to the jump
-picture.  ``eta_from_triplet`` evaluates it for a whole array of u with
-vectorized tanh-sinh quadrature (``scipy.integrate.tanhsinh``) on
-doubling panels, calling W on arrays a few times per array.  The only
-special function needed anywhere is the modified Bessel function K_n
-for n = 0, 1, 2, taken from ``scipy.special``; the tests check it
-against mpmath, quadrature and recurrence oracles.  Both scipy modules
-are imported inside the function that calls them, not here: together
-they take ~0.5 s to import, several times the work of most CLI
-subcommands, and the spectrum, density and simulate commands need
-neither.
+picture; ``eta_from_triplet`` evaluates it by Gauss-Kronrod quadrature
+in numpy.  K_n (n = 0, 1, 2; checked against mpmath, quadrature and
+recurrence oracles) comes from ``scipy.special``, imported inside
+``bessel_k``: the import takes ~0.25 s that most commands never need.
 
 Natural units throughout: hbar = c = 1, masses in GeV, lengths and
 times in GeV^-1.
@@ -41,20 +35,23 @@ import numpy as np
 # log(1e-12): characteristic-function decay demanded at the Nyquist edge
 LOG_DECAY_CRITERION = math.log(1e-12)
 
-# Panels and u per tanhsinh call.  The relativistic kernel stops after
-# 6-8 panels: batches of 8 to 16 panels cost about the same, ~1.3 ms for
-# one u and 0.15-0.2 ms per u for 64, and below 8 a second call is
-# needed.  The work arrays take ~60 kB per u (u a up to 60): 4096 u in
-# slices of 256 peak at 20 MB and run faster than in one call (255 MB).
-# One thread of a 2-vCPU Xeon VM.
-PANEL_BATCH = 12
-U_BATCH = 256
-
-# Nodes nearer the origin than NODE_FLOOR * scale are evaluated at that
-# distance.  tanh-sinh places nodes down to (and on) x = 0, where W is
-# singular and sin^2 underflows, while the integrand O(x^2 W) stays
-# integrable: the slab changes the integral far below any tolerance.
-NODE_FLOOR = 1e-100
+# Per call at most U_BATCH u and MAX_INTERVALS pieces (~1.3 kB each at the
+# peak of a round); estimates below ROUNDOFF |integral| are rounding.  GK21
+# (QUADPACK qk21; Piessens et al. 1983): abscissae >= 0, K21 and G10 weights.
+U_BATCH = 64
+MAX_INTERVALS = 2 ** 17
+ROUNDOFF = 50.0 * np.finfo(float).eps
+_XK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                0.2943928627014602, 0.14887433898163122, 0.0])
+_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
+                0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+                0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0])
+_GK21_NODES = np.concatenate([-_XK, _XK[-2::-1]])
+_GK21_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
+_GK21_ERROR_WEIGHTS = _GK21_WEIGHTS - np.concatenate([_WG, _WG[-2::-1]])  # K21 - G10
 
 
 class TailDivergenceError(RuntimeError):
@@ -85,7 +82,6 @@ def bessel_k(order: int, z):
     z_arr = np.asarray(z, dtype=float)
     if not ((z_arr > 0.0) & np.isfinite(z_arr)).all():
         raise ValueError("bessel_k requires strictly positive finite argument")
-    # importing scipy.special costs ~0.23 s; spectrum, density and simulate never do
     from scipy import special
     out = special.kn(2, z_arr) if order == 2 else (special.k0, special.k1)[order](z_arr)
     return float(out) if z_arr.ndim == 0 else out
@@ -230,70 +226,74 @@ def eta_modified_branch(u, base: ExponentParams, root_x: float):
 
 def eta_from_triplet(u, triplet: LevyTriplet,
                      quadrature: QuadratureSpec | None = None):
-    """Compensated Levy-Khintchine integral for a symmetric triplet.
+    """Compensated Levy-Khintchine integral -beta^2 u^2/2 + int (cos(ux) - 1) W(x) dx.
 
-    Returns -beta^2 u^2 / 2 + int (cos(u x) - 1) W(x) dx, a float for a
-    scalar u and an array of u's shape otherwise, from the integrand
-    -2 sin^2(u x / 2) W(x), which is (cos(u x) - 1) W(x) without its
-    cancellation at small u x.  Each tanh-sinh call covers PANEL_BATCH of
-    the panels [0, s], [s, 2s], [2s, 4s], ... (s = triplet.scale) for up
-    to U_BATCH u; a u stops after two consecutive panels below
-    0.25 tol max(1, |total|) and sits out the later calls.  A u that does
-    not stop within max_doublings panels raises TailDivergenceError with
-    one partial sum per panel; a summed error estimate above tol, or a
-    panel before the stop that did not converge, raises
-    QuadratureToleranceError.  Each error names the first such u.
+    A float for a scalar u, else an array of u's shape.  Adaptive GK21 on
+    the panels [0, s], [s, 2s], [2s, 4s], ... (s = triplet.scale), cut into
+    periods of sin^2 where 2 width W(left edge) >= tol (the first always); a
+    u stops after two consecutive panels below 0.25 tol max(1, |total|) and
+    refines its own pieces only, so arrays give the scalar bytes.
+    TailDivergenceError (no stop in max_doublings panels) and
+    QuadratureToleranceError (over MAX_INTERVALS pieces; estimate, at least
+    ROUNDOFF |total|, above tol) name the u at fault.
     """
-    policy = quadrature or QuadratureSpec()
-    s, tol, n = triplet.scale, policy.tol, policy.max_doublings
     flat = np.asarray(u, dtype=float).ravel()
     eta = -0.5 * triplet.beta2 * flat * flat  # the Gaussian part
-
-    def integrand(x, u_col):
-        x = np.maximum(x, NODE_FLOOR * s)
-        return -2.0 * np.sin(0.5 * u_col * x) ** 2 * triplet.jump_density(x)
-
     if flat.size > U_BATCH:
-        parts = np.split(flat, range(U_BATCH, flat.size, U_BATCH))
-        eta = np.concatenate([eta_from_triplet(p, triplet, quadrature) for p in parts])
+        eta = np.concatenate([eta_from_triplet(flat[i:i + U_BATCH], triplet, quadrature)
+                              for i in range(0, flat.size, U_BATCH)])
     elif triplet.jump_density is not None and flat.size:
-        # per u (row) and panel: integral, error estimate, failure, and their
-        # running sums; stop[i] is u_i's stopping panel, 0 until it stops
-        panels, sums = np.zeros((2, 3, flat.size, n))
-        stop = np.zeros(flat.size, dtype=int)
-        edges = np.append(0.0, s * 2.0 ** np.arange(n, dtype=float))
-        # importing scipy.integrate costs ~0.48 s; no CLI subcommand runs this
-        from scipy.integrate import tanhsinh
-        last = 0
-        while last < n and not stop.all():
-            first, last = last, min(last + PANEL_BATCH, n)
-            active = np.flatnonzero(stop == 0)
-            res = tanhsinh(integrand, edges[first:last], edges[first + 1:last + 1],
-                           args=(flat[active, None],), atol=0.1 * tol, rtol=1e-12)
-            panels[:, active, first:last] = res.integral, res.error, res.status != 0
-            sums = panels.cumsum(axis=2)
-            vals, totals = panels[0, :, :last], sums[0, :, :last]
-            small = np.abs(vals) < 0.25 * tol * np.maximum(1.0, np.abs(totals))
-            pair = small[:, 1:] & small[:, :-1]
-            stop = np.where(pair.any(axis=1), pair.argmax(axis=1) + 1, 0)
-
-        i = np.argmax(stop == 0)
-        if stop[i] == 0:
-            raise TailDivergenceError(
-                f"jump integral at u = {flat[i]:g} did not converge within {n} "
-                f"panel doublings (last panel ending at {s * 2.0 ** (n - 1):g})",
-                (2.0 * sums[0, i] + eta[i]).tolist())
-        total, err, failed = sums[:, np.arange(flat.size), stop]
-        i = np.argmax(failed > 0)
-        if failed[i]:
-            raise QuadratureToleranceError(
-                f"tanh-sinh did not converge on {failed[i]:g} panel(s) at u = "
-                f"{flat[i]:g}; loosen the tolerance {tol:.3e}")
-        i = np.argmax(err > tol)
-        if err[i] > tol:
-            raise QuadratureToleranceError(
-                f"quadrature error estimate {err[i]:.3e} at u = {flat[i]:g} "
-                f"exceeds tolerance {tol:.3e}")
-        eta = 2.0 * total + eta
+        eta = _add_jump_integral(flat, eta, triplet, quadrature or QuadratureSpec())
     eta = eta.reshape(np.shape(u))
     return float(eta) if np.ndim(u) == 0 else eta
+
+
+def _add_jump_integral(u, eta, triplet: LevyTriplet, policy: QuadratureSpec):
+    """eta + 2 int_0^inf -2 sin^2(u x / 2) W(x) dx for 1-D u and eta."""
+    s, tol, n, density = triplet.scale, policy.tol, policy.max_doublings, triplet.jump_density
+    if n == 0:
+        raise TailDivergenceError(f"jump integral at u = {u[0]:g} has no panels", [])
+    edges = np.append(0.0, s * 2.0 ** np.arange(n, dtype=float))
+    split = np.append(True, 2.0 * np.diff(edges)[1:] * density(edges[1:])[:-1] >= tol)
+    row, panel = np.divmod(np.arange(u.size * n), n)  # one piece per (u, panel) cell
+    lo, half, err, val = edges[panel], 0.5 * np.diff(edges)[panel], *np.zeros((2, row.size))
+    cut = np.maximum(1.0, np.ceil(np.abs(u)[:, None] * half[:n] / np.pi * split)).ravel()
+    while True:  # piece i becomes cut[i] equal pieces, placed after the uncut ones
+        if not (need := row.size + cut.sum() - np.count_nonzero(cut)) <= MAX_INTERVALS:
+            if u.size == 1:  # NaN too
+                raise QuadratureToleranceError(f"u = {u[0]:g} needs {need:.3g} intervals, over "
+                                               f"{MAX_INTERVALS}; use a smaller |u| or loosen tol")
+            return np.concatenate([_add_jump_integral(u[i:i + 1], eta[i:i + 1], triplet, policy)
+                                   for i in range(u.size)])  # one u at a time
+        one = np.repeat(np.flatnonzero(cut), cut[cut > 0].astype(int))
+        h = half[one] / cut[one]
+        kids = [lo[one] + 2.0 * (np.arange(one.size) - np.searchsorted(one, one)) * h, h,
+                row[one], panel[one]]
+        x = (kids[0] + h)[:, None] + h[:, None] * _GK21_NODES
+        f = -2.0 * np.sin(0.5 * u[kids[2], None] * x) ** 2 * density(x)
+        kids += [h * np.abs((f * _GK21_ERROR_WEIGHTS).sum(axis=1)),
+                 h * (f * _GK21_WEIGHTS).sum(axis=1)]
+        lo, half, row, panel, err, val = (np.concatenate([a[cut == 0], b]) for a, b in
+                                          zip((lo, half, row, panel, err, val), kids))
+        sums = np.bincount(row * n + panel, val, u.size * n).reshape(u.size, n)
+        totals = sums.cumsum(axis=1)
+        small = np.abs(sums) < 0.25 * tol * np.maximum(1.0, np.abs(totals))
+        pair = small[:, 1:] & small[:, :-1]
+        stop = np.where(stopped := pair.any(axis=1), pair.argmax(axis=1) + 1, n - 1)
+        total, live = totals[np.arange(u.size), stop], panel <= stop[row]
+        error = np.bincount(row, err * live, u.size)
+        target = np.maximum(tol, ROUNDOFF * np.abs(total))
+        share = (target / edges[stop + 1])[row] * 2.0 * half
+        cut = 2.0 * (live & (error > target)[row] & (err > share))
+        if not cut.any():
+            break
+
+    estimate = np.where(stopped, np.maximum(error, ROUNDOFF * np.abs(total)), np.inf)
+    i = np.argmax(estimate > tol)
+    if not stopped[i]:
+        raise TailDivergenceError(f"jump integral at u = {u[i]:g} did not converge in {n} panels "
+                                  f"(to x = {edges[-1]:g})", (2.0 * totals[i] + eta[i]).tolist())
+    if estimate[i] > tol:
+        raise QuadratureToleranceError(f"error estimate {estimate[i]:.3e} at u = {u[i]:g} exceeds "
+                                       f"tolerance {tol:.3e}; loosen the tolerance")
+    return 2.0 * total + eta

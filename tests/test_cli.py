@@ -331,6 +331,11 @@ EDGE_INPUTS = [
      "--dt must be finite and positive, got nan"),
     (["evolve", "--mass", "1", "--dt", "-0.05", "--steps", "2"],
      "--dt must be finite and positive, got -0.05"),
+    # phases near 1e300 rad, rounded to ~1e284 rad, passed the norm gate: exit 0
+    (["evolve", "--mass", "1", "--dt", "1e300", "--steps", "2"],
+     "whose rounding (1.4e+286 rad) exceeds 1e-10 rad; use dt <= 7.28e+03"),
+    (["evolve", "--mass", "1", "--dt", "1e300", "--steps", "2", "--snapshot-every", "1"],
+     "exceeds 1e-10 rad"),
 ]
 
 
@@ -645,6 +650,15 @@ def scipy_modules_after(code):
 def test_importing_the_cli_loads_no_scipy_subpackage():
     loaded = scipy_modules_after("import levyqm.cli")
     assert not loaded & {"scipy.integrate", "scipy.special", "scipy.fft"}
+
+
+def test_levy_khintchine_quadrature_loads_no_scipy_integrate():
+    loaded = scipy_modules_after(
+        "from levyqm import ExponentParams, eta_from_triplet\n"
+        "from levyqm.densities import relativistic_triplet\n"
+        "eta_from_triplet(0.3, relativistic_triplet(ExponentParams.from_mass(1.0)))")
+    assert "scipy.special" in loaded  # the jump kernel's K1 ran
+    assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]}
 
 
 def test_spectrum_fit_loads_no_scipy(tmp_path):

@@ -65,6 +65,16 @@ def test_wavefunction_norm_gate_rejects_nan():
                         UNIT.tau)
 
 
+def test_step_phase_must_be_resolved():
+    # the largest phase dt |eta| / tau may be rounded by at most 1e-10 rad
+    grid = packet_grid()
+    psi = gaussian_packet(0.0, 0.0, 1.0, grid)
+    limit = 1e-10 * 2.0 ** 52 * UNIT.tau / np.max(np.abs(ETA(grid.u_fft())))
+    assert evolve_spectral(psi, 0.99 * limit, ETA, UNIT.tau).values.shape == (grid.n,)
+    with pytest.raises(ValueError, match=r"exceeds 1e-10 rad; use dt <= "):
+        evolve_spectral(psi, 1.01 * limit, ETA, UNIT.tau)
+
+
 def test_writable_values_cannot_leave_a_stale_transform():
     import scipy.fft
     grid = packet_grid()

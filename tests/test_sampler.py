@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import kstest, ks_2samp
 
 from levyqm import ExponentParams, LogCharacteristic, eta_relativistic, sampler
-from levyqm.densities import GridError, default_grid, transition_density
+from levyqm.densities import GridError, GridSpec, default_grid, transition_density
 from levyqm.sampler import (TILE, KSReport, PathSample, SeededGenerator,
                             ks_validate, sample_endpoints, sample_increment,
                             sample_inverse_gaussian, sample_path, sample_paths)
@@ -232,6 +232,26 @@ def test_semigroup_at_sample_level():
     one_full = sample_increment(1.0, UNIT, SeededGenerator(18), size=10 ** 5)
     stat = ks_2samp(two_halves, one_full)
     assert stat.pvalue > 0.01
+
+
+@pytest.mark.parametrize("t", [1.0, 0.1, 0.01])
+def test_endpoints_average_to_the_euclidean_step(t):
+    # exp((t/tau) eta(u)) is both the characteristic function of X_t and the
+    # Euclidean propagator, so E psi0(x + X_t) = ifft(exp(t eta/tau) fft psi0)
+    grid = GridSpec(n=4096, dx=0.05)
+    x = grid.x_centers()
+
+    def psi0(y):
+        return np.exp(-0.5 * y * y) * np.cos(2.0 * y)
+
+    propagator = np.exp((t / UNIT.tau) * eta_relativistic(grid.u_fft(), UNIT))
+    step = np.fft.ifft(propagator * np.fft.fft(psi0(x))).real
+    at = grid.n // 2 + np.array([-30, -10, 5, 20])  # x = -1.5, -0.5, 0.25, 1
+    ends = sample_endpoints(t, UNIT, SeededGenerator(3), 200_000, steps=4)
+    values = psi0(x[at, None] + ends)
+    stderr = values.std(axis=1) / math.sqrt(ends.size)
+    assert np.all(np.abs(values.mean(axis=1) - step[at]) < 4.0 * stderr), (
+        (values.mean(axis=1) - step[at]) / stderr)
 
 
 # ---------------------------------------------------------------------------
