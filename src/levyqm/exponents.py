@@ -235,9 +235,12 @@ def eta_from_triplet(u, triplet: LevyTriplet,
     refines its own pieces only, so arrays give the scalar bytes.
     TailDivergenceError (no stop in max_doublings panels) and
     QuadratureToleranceError (over MAX_INTERVALS pieces; estimate, at least
-    ROUNDOFF |total|, above tol) name the u at fault.
+    ROUNDOFF |total|, above tol) name the u at fault, and so does the
+    ValueError for a u that is not finite.
     """
     flat = np.asarray(u, dtype=float).ravel()
+    if not (finite := np.isfinite(flat)).all():
+        raise ValueError(f"u = {flat[np.argmin(finite)]:g} is not finite")
     eta = -0.5 * triplet.beta2 * flat * flat  # the Gaussian part
     if flat.size > U_BATCH:
         eta = np.concatenate([eta_from_triplet(flat[i:i + U_BATCH], triplet, quadrature)
@@ -260,7 +263,7 @@ def _add_jump_integral(u, eta, triplet: LevyTriplet, policy: QuadratureSpec):
     cut = np.maximum(1.0, np.ceil(np.abs(u)[:, None] * half[:n] / np.pi * split)).ravel()
     while True:  # piece i becomes cut[i] equal pieces, placed after the uncut ones
         if not (need := row.size + cut.sum() - np.count_nonzero(cut)) <= MAX_INTERVALS:
-            if u.size == 1:  # NaN too
+            if u.size == 1:
                 raise QuadratureToleranceError(f"u = {u[0]:g} needs {need:.3g} intervals, over "
                                                f"{MAX_INTERVALS}; use a smaller |u| or loosen tol")
             return np.concatenate([_add_jump_integral(u[i:i + 1], eta[i:i + 1], triplet, policy)

@@ -10,7 +10,8 @@ propagator rationalizes into two additive scalar structures sharing
 that denominator; only the two invariant coefficients are carried here,
 no gamma-matrix algebra.  Pole finding and the loop sweep take a solved
 ``SpectrumSolution`` and do not solve it again, so the poles, their
-fits and the loop's break points share one set of roots.
+residues (read off K = sum_i R_i / (p^2 - M_i^2)) and the loop's break
+points share one set of roots.
 
 The ultraviolet behaviour of the one-loop self-energy is probed by a
 scalarized Euclidean radial proxy: Wick-rotate (k^2 -> -kE^2, so
@@ -46,16 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CutoffPolynomial, SpectrumSolution, f_eval
+from .spectrum import CutoffPolynomial, SpectrumSolution, _residual, f_eval
 
 LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
                  "modified-scalar", "modified-mass")
 
-# find_poles' budget for the fit residual and the residue mismatch
+# find_poles' budget for |R_read/R - 1|, the residue read off each probe pair
 FIT_TOL = 1e-6
-# A failed fit is blamed on another root this near (relative): it bends the
-# probed K by ~7e-10/gap^2, past FIT_TOL from gap ~3e-2 down.
-NEAR_POLE = 0.1
 
 
 class NonpositiveDenominatorError(ValueError):
@@ -82,15 +80,15 @@ class DiracScalarized:
 
 @dataclass(frozen=True)
 class PoleFit:
-    """Local simple-pole fit K ~ R/(p^2 - pole) + C around one root."""
+    """A certified simple pole: root x, p^2 = m^2 x and residue 1/g'(x).
+
+    residue_mismatch is the worst |R_read/R - 1| over the probe pairs.
+    """
 
     root: float
     p2_pole: float
-    fitted_residue: float
     algebraic_residue: float
     residue_mismatch: float
-    fit_residual: float
-    residue_x: float
 
 
 @dataclass(frozen=True)
@@ -156,48 +154,42 @@ def dirac_propagator_scalarized(p2, m: float, c: CutoffPolynomial,
 
 
 def find_poles(spectrum: SpectrumSolution) -> tuple:
-    """Poles of the spectrum's scalar propagator, certified by local fits.
+    """Poles of the spectrum's scalar propagator, residues certified.
 
     Returns one PoleFit per simple root of ``spectrum``, which is not
-    solved again; multiple roots have no residue and no fit.  Each
-    simple root is probed at p^2 = pole (1 + delta) for
-    delta = +-{1,2,4,8}e-5 and fitted to R/(p^2 - pole) + C with
-    eps = 0; the fitted residue must match 1/g'(x_i) (which is also the
-    p^2-variable residue; the x-variable residue carries the extra 1/m^2
-    Jacobian) and the fit must hold, both to FIT_TOL, else ValueError
-    names the cause: another pole too near, or a base mass so far from
-    the masses that the denominator loses its digits.
+    solved again; multiple roots have no residue.  Since g(x) - 1 =
+    -l3 prod (x - x_j), the propagator m^-2 / (g(x) - 1) is
+    sum_j R_j / (p^2 - m^2 x_j), and R_j = 1/g'(x_j) is both its p^2
+    residue and the x residue of 1/(g(x) - 1).  Each simple root's R_i
+    is read off at x = x_i (1 +- delta), delta = {1,2,4,8}e-5, as
+    (x - x_i) (1/(g(x) - 1) - sum_{j != i} R_j/(x - x_j)), with g(x) - 1
+    exact from ``spectrum._residual``.  Averaging each +-delta
+    pair cancels the first-order term that roots without a residue (a
+    repeated root, a complex pair) leave.  Every reading must match R_i
+    to FIT_TOL, else ValueError names the root and the mismatch.
     """
     m, c = spectrum.base_mass, spectrum.coefficients
+    simple = [(x, r) for x, r in zip(spectrum.roots, spectrum.residues)
+              if not math.isnan(r)]
     fits = []
-    for x_root, residue in zip(spectrum.roots, spectrum.residues):
-        if math.isnan(residue):
-            continue
-        pole = m ** 2 * x_root
-        deltas = np.array([s * k * 1e-5 for s in (-1.0, 1.0) for k in (1, 2, 4, 8)])
-        p2_samples = pole + deltas * abs(pole)
-        # eps-free evaluation away from the pole
-        x = p2_samples / m ** 2
-        kvals = 1.0 / (p2_samples - m ** 2 * (1.0 + f_eval(x, c)))
-
-        design = np.column_stack([1.0 / (p2_samples - pole),
-                                  np.ones_like(p2_samples)])
-        coef, *_ = np.linalg.lstsq(design, kvals, rcond=None)
-        fitted_r = float(coef[0])
-        model = design @ coef
-        residual = float(np.linalg.norm(kvals - model) / np.linalg.norm(kvals))
-        mismatch = abs(fitted_r - residue) / abs(residue)
-        if residual > FIT_TOL or mismatch > FIT_TOL:
-            near = any(0.0 < abs(r / x_root - 1.0) < NEAR_POLE for r in spectrum.roots)
+    for i, (x_root, residue) in enumerate(simple):
+        misses = []
+        for delta in (1e-5, 2e-5, 4e-5, 8e-5):
+            read = 0.0
+            for x in (x_root * (1.0 - delta), x_root * (1.0 + delta)):
+                others = sum(r / (x - x_j)
+                             for j, (x_j, r) in enumerate(simple) if j != i)
+                read += 0.5 * (x - x_root) * (1.0 / _residual(x, c) - others)
+            misses.append(read / residue - 1.0)
+        # np.max, not max: a NaN reading must fail the test below
+        mismatch = float(np.max(np.abs(misses)))
+        if not mismatch <= FIT_TOL:
             raise ValueError(
-                f"pole fit at x = {x_root:g} misses its budget {FIT_TOL:g} (fit "
-                f"residual {residual:.2e}, residue mismatch {mismatch:.2e}): "
-                + ("another pole is too close for a local fit" if near
-                   else "choose a base mass nearer the masses"))
-        fits.append(PoleFit(root=x_root, p2_pole=pole, fitted_residue=fitted_r,
+                f"pole at x = {x_root:g}: the residue read off the propagator "
+                f"misses 1/g'(x) by {mismatch:.2e}, above {FIT_TOL:g}")
+        fits.append(PoleFit(root=x_root, p2_pole=m ** 2 * x_root,
                             algebraic_residue=residue,
-                            residue_mismatch=mismatch, fit_residual=residual,
-                            residue_x=residue / m ** 2))
+                            residue_mismatch=mismatch))
     return tuple(fits)
 
 

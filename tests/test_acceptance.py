@@ -151,7 +151,7 @@ def test_06_propagator_poles():
             worst_pole = max(worst_pole, abs(fit.p2_pole / mass ** 2 - 1.0))
             worst_residue = max(worst_residue, fit.residue_mismatch)
     ok = worst_pole < 1e-6 and worst_residue < 1e-6
-    report(6, f"five rows: pole locations within {worst_pole:.1e}, fitted "
+    report(6, f"five rows: pole locations within {worst_pole:.1e}, read-off "
               f"residues within {worst_residue:.1e} of 1/g'", ok)
 
 

@@ -111,18 +111,21 @@ def test_pole_fits_sit_on_the_reported_roots(tmp_path, masses):
         assert fit["residue_mismatch"] < 1e-6
 
 
-@pytest.mark.parametrize("masses,fix", [
-    ("1,1.000001,3", "too close for a local fit"),
-    ("1,2,3 --base 1e-3", "choose a base mass nearer the masses")])
-def test_uncertified_pole_fit_is_a_domain_error(tmp_path, capsys, masses, fix):
-    out = tmp_path / "p.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert main(["propagator", "--masses", *masses.split(),
-                     "--points", "16", "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "pole fit at x" in err and fix in err
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("source", [
+    "fit --masses 1,2,3 --base 3e-3", "fit --masses 1,2,3 --base 1e-3",
+    "fit --masses 1,1.01,3", "fit --masses 1,1.0001,3",
+    "fit --masses 1,1.000001,3", "solve --lambdas=0.9,0.5,-0.3 --mass 1"])
+def test_every_solved_spectrum_has_certified_poles(tmp_path, source):
+    # close roots, a base far below the masses and a complex pair: what
+    # spectrum accepts, propagator certifies from the same arguments
+    spectrum_args = source.split()
+    assert main(["spectrum", *spectrum_args, "-o", str(tmp_path / "s.json")]) == 0
+    assert main(["propagator", *spectrum_args[1:], "--points", "16",
+                 "-o", str(tmp_path / "p.csv")]) == 0
+    meta = load_json(tmp_path / "p.csv.meta.json")
+    assert len(meta["pole_fits"]) == len(load_json(tmp_path / "s.json")["roots"])
+    for fit in meta["pole_fits"]:
+        assert fit["residue_mismatch"] < 1e-6
 
 
 @pytest.mark.parametrize("masses,base,code", [

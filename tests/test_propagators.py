@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from levyqm.propagators import (NonpositiveDenominatorError,
                                 dirac_propagator_scalarized, find_poles,
                                 kg_propagator, loop_integral)
 from levyqm.spectrum import (CutoffPolynomial, MassTriple, fit_masses,
-                             masses_from_lambdas)
+                             g_prime, masses_from_lambdas)
 
 ZERO = CutoffPolynomial.zero()
 
@@ -97,26 +98,33 @@ def test_find_poles_free_theory():
     fits = find_poles(sol)
     assert sol.roots == (1.0,)
     assert fits[0].p2_pole == pytest.approx(1.0)
-    assert fits[0].fitted_residue == pytest.approx(1.0, rel=1e-9)
-    assert fits[0].residue_x == pytest.approx(1.0, rel=1e-9)
+    assert fits[0].algebraic_residue == 1.0
+    assert fits[0].residue_mismatch < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_MASSES))
 def test_find_poles_reference_rows(name):
     masses = MassTriple.from_values(PRESET_MASSES[name])
-    fits = find_poles(fit_masses(masses))
+    spectrum = fit_masses(masses)
+    fits = find_poles(spectrum)
     assert len(fits) == 3
     for fit, mass in zip(fits, masses.as_tuple()):
         assert fit.p2_pole == pytest.approx(mass ** 2, rel=1e-6)
-        assert fit.residue_mismatch < 1e-6
-        assert fit.fit_residual < 1e-6
+        assert fit.algebraic_residue == pytest.approx(
+            1.0 / g_prime(fit.root, spectrum.coefficients), rel=1e-15)
+        assert fit.residue_mismatch < 1e-12
 
 
-def test_find_poles_blames_a_neighbour_outside_the_probes():
-    # roots 2% apart, far outside the probes' 8e-5 span, still bend the
-    # probed propagator past the budget, and the message says why
-    with pytest.raises(ValueError, match="too close for a local fit"):
-        find_poles(fit_masses(MassTriple(1.0, 1.01, 3.0)))
+def test_find_poles_rejects_a_wrong_residue():
+    # the read-off checks the residue itself: one scaled by 1 + 1e-5 misses
+    # the propagator by 1e-5 at its own root
+    spectrum = fit_masses(MassTriple(1.0, 2.0, 3.0))
+    residues = list(spectrum.residues)
+    residues[1] *= 1.0 + 1e-5
+    wrong = dataclasses.replace(spectrum, residues=tuple(residues))
+    with pytest.raises(ValueError,
+                       match=rf"pole at x = {spectrum.roots[1]:g}: .* by 1\.00e-05"):
+        find_poles(wrong)
 
 
 def test_find_poles_degenerate_diagnostic():
