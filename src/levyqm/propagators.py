@@ -31,13 +31,21 @@ rests on: without the cutoff the scalar-type integrand falls like 1/k
 (scalar-type, residual ~ L^-4) or m^2/(sqrt(|l3|) k^2) (mass-type,
 residual ~ L^-1).  Increments between cutoffs are integrated directly
 so the tail diagnostics never suffer cancellation against the bulk.
-The modified denominator is -m^2 (g(-k^2/m^2) - 1): it vanishes exactly
-at k = m sqrt(-x_i) for the negative spectrum roots x_i, and the first
-such k inside the top cutoff raises NonpositiveDenominatorError, as does
-the first k where the mass-type 1 + f(-k^2/m^2) turns negative.
-QUADPACK (``scipy.integrate.quad``) is imported inside
-``loop_integral``: importing scipy.integrate takes ~0.5 s, and pole
-finding never integrates.
+The modified denominator is D = -m^2 (g(-k^2/m^2) - 1): it vanishes
+exactly at k = m sqrt(-x_i) for the negative spectrum roots x_i, and the
+first such k inside the top cutoff raises NonpositiveDenominatorError,
+as does the first k where the mass-type 1 + f(-k^2/m^2) turns negative.
+
+The scalar-type proxy is rational in K = k^2: with three simple real
+roots, 1/D = sum_i R_i / (K + M_i^2), the same partial fractions as the
+propagator (Pauli & Villars 1949, Rev. Mod. Phys. 21:434), and the
+unmodified 1/(K + m^2) is the one-term case.  Those variants are summed
+in closed form, with the residues' sum rules cancelling analytically
+what would cancel numerically.  The mass-type numerator is not
+rational, so those variants, a complex pair and close roots (whose
+residues round too coarsely for the closed form) take QUADPACK
+(``scipy.integrate.quad``), imported only then: it costs the README
+``loop`` command ~0.4 s and ~25 MB.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
 
 # find_poles' budget for |R_read/R - 1|, the residue read off each probe pair
 FIT_TOL = 1e-6
+# loop_integral's relative error budget per segment: QUADPACK's epsrel, and
+# the bound the closed form's rounding must meet
+LOOP_RTOL = 1e-10
 
 
 class NonpositiveDenominatorError(ValueError):
@@ -112,8 +123,11 @@ class TailFit:
 class LoopResult:
     """Cumulative values and increments per variant over the cutoffs.
 
-    abserr: per variant, QUADPACK's absolute error estimates summed over
-    the segments, an estimate of the error of the last cumulative value.
+    method: per variant, "closed form" or "QUADPACK".
+    abserr: per variant, the segments' absolute errors summed, a bound on
+    the error of the last cumulative value: the closed form's rounding
+    bound (about eps times the sum of |terms| of each segment, with the
+    residues' own rounding), or QUADPACK's error estimates.
     """
 
     cutoffs: np.ndarray
@@ -121,6 +135,7 @@ class LoopResult:
     increments: dict
     tail_fits: dict
     abserr: dict
+    method: dict
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +225,141 @@ def _loop_integrand(k, pE, m, c, modified, mass_type):
     return k ** 3 * numer / denom
 
 
+def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
+    """QUADPACK's integral of each [edges_j, edges_j+1] and its error estimate."""
+    # of the subcommands only loop imports scipy.integrate, and only for
+    # the variants without a closed form
+    from scipy.integrate import quad
+    m, c = spectrum.base_mass, spectrum.coefficients
+    features = [pE] + [mass for mass in spectrum.masses if mass > 0]
+    segs, errs = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        pts = [p for p in features if lo < p < hi] or None
+        val, err = quad(_loop_integrand, lo, hi,
+                        args=(pE, m, c, modified, mass_type),
+                        points=pts, epsabs=0.0, epsrel=LOOP_RTOL, limit=400)
+        segs.append(val)
+        errs.append(err)
+    return np.array(segs), np.array(errs)
+
+
+def _log_abs_1p(t):
+    """log|1 + t|, by log1p on either side of t = -1."""
+    return np.log1p(np.where(t > -1.0, t, -2.0 - t))
+
+
+# log(1 + t) - t = sum_{n >= 2} (-1)^(n+1) t^n / n, highest power first;
+# below |t| = 0.1 the terms after n = 19 fall under 1e-17 of the sum
+_H_SERIES = tuple((-1.0) ** (n + 1) / n for n in range(19, 1, -1))
+# ulps of rounding allowed each closed-form term, above _h's worst
+_TERM_ULPS = 24.0
+
+
+def _h(t):
+    """log|1 + t| - t, by its Taylor series where |t| < 0.1.
+
+    The direct difference loses the digits of t^2/2 against t: 2 eps/|t|
+    relative, 21 ulps at |t| = 0.1, growing without bound below it.
+    """
+    small = np.abs(t) < 0.1
+    ts = np.where(small, t, 0.0)
+    return np.where(small, np.polyval(_H_SERIES, ts) * ts * ts,
+                    _log_abs_1p(t) - t)
+
+
+def _partial_fractions(spectrum, variant):
+    """(R_i, M_i^2, cond_i) with 1/D(K) = sum_i R_i / (K + M_i^2), K = k^2.
+
+    D is the scalar proxy's Euclidean denominator; cond_i bounds the
+    relative error of R_i in ulps.  None when the variant has no closed
+    form: the mass variants, whose m sqrt(1 + f) is not rational, and a
+    modified denominator without three simple real roots.
+    """
+    m2 = spectrum.base_mass ** 2
+    if variant == "unmodified-scalar":
+        return np.ones(1), np.array([m2]), np.zeros(1)
+    if variant != "modified-scalar" or not spectrum.simple_cubic:
+        return None
+    x, r = np.array(spectrum.roots), np.array(spectrum.residues)
+    l1, l2, l3 = spectrum.coefficients.as_tuple()
+    # g'(x_i) rounds against the sum of its terms' sizes, and the root's own
+    # last ulp moves it by |x_i g''(x_i)| eps, at most twice that sum
+    size = 1.0 + abs(l1) + 2.0 * np.abs(l2 * x) + 3.0 * np.abs(l3) * x * x
+    return r, m2 * x, 3.0 * size * np.abs(r)
+
+
+def _closed_form_segments(pE, residues, m2, cond, edges):
+    """Each segment's integral in closed form, and its rounding bound.
+
+    With K = k^2 the integrand is dK/(2D) above pE and K dK/(2 pE^2 D)
+    below, so with 1/D = sum R_i/(K + M_i^2) a segment is
+
+      above pE:  (1/2) sum R_i log|K + M_i^2|,
+      below pE:  (1/(2 pE^2)) sum R_i (K - M_i^2 log|K + M_i^2|)
+
+    between its ends.  With three terms, sum R_i = sum R_i M_i^2 = 0
+    (sum_rules) drop c0 + c1 M_i^2 from every term at each end.  Above
+    pE that leaves R_i h(t_i), t_i = M_i^2/K, at an end where every
+    |t_i| <= 1, so that octave increments ~ t^2 lose no digits to the
+    cancelling terms ~ t, and R_i log|1 + t_i| at an end where some
+    |t_i| > 1, where t_i itself would be large.  Below pE the roles of K
+    and M_i^2 swap.
+    """
+    rules = len(residues) == 3
+    lead = 0.0 if rules else residues.sum()
+    # in K; a piece with equal ends is empty
+    above = np.maximum(edges, pE) ** 2
+    below = np.minimum(edges, pE) ** 2
+
+    def ends(phi, scale):
+        terms = scale * phi
+        bound = np.abs(terms) * (_TERM_ULPS + cond)
+        return terms.sum(axis=1), bound.sum(axis=1)
+
+    t = m2 / above[:, None]
+    small = np.abs(t).max(axis=1, keepdims=True) <= 1.0
+    v, v_err = ends(np.where(small & rules, _h(t), _log_abs_1p(t)), residues)
+    s = below[:, None] / m2
+    large = np.abs(s).max(axis=1, keepdims=True) > 1.0
+    w, w_err = ends(np.where(large & rules, _log_abs_1p(s), _h(s)),
+                    -residues * m2)
+    log_k = lead * np.log(above[1:] / above[:-1])
+    up = above[1:] > above[:-1]
+    down = below[1:] > below[:-1]
+    segs = (np.where(up, 0.5 * (log_k + v[1:] - v[:-1]), 0.0)
+            + np.where(down, 0.5 * (w[1:] - w[:-1]) / pE ** 2, 0.0))
+    errs = (np.where(up, 0.5 * (_TERM_ULPS * np.abs(log_k) + v_err[1:]
+                                + v_err[:-1]), 0.0)
+            + np.where(down, 0.5 * (w_err[1:] + w_err[:-1]) / pE ** 2, 0.0))
+    return segs, np.finfo(float).eps * errs
+
+
 def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
                   variants=LOOP_VARIANTS) -> LoopResult:
     """Cutoff sweep of the regularized self-energy proxy.
 
     The spectrum gives the base mass, the coefficients and, from its
-    masses, the quadrature break points.  Integrates each
-    [cutoff_j, cutoff_j+1] increment separately (so increments are
-    accurate relative to themselves, not to the bulk) and accumulates;
-    per-segment relative quadrature error < 1e-8.
+    masses, the quadrature break points.  Each [cutoff_j, cutoff_j+1]
+    increment is computed separately (so increments are accurate
+    relative to themselves, not to the bulk) and accumulated, each to
+    LOOP_RTOL relative.  The scalar variants take the closed form of
+    ``_closed_form_segments`` whenever their partial fractions exist and
+    its rounding bound meets LOOP_RTOL on every segment; the rest, and
+    close roots whose residues carry too few digits, take QUADPACK.
     """
-    cutoffs = np.asarray([float(v) for v in cutoffs])
+    pE = float(pE)
+    if not (math.isfinite(pE) and pE > 0):
+        raise ValueError("external Euclidean momentum must be positive and "
+                         f"finite, got pE = {pE!r}")
+    cutoffs = [float(v) for v in cutoffs]
+    for v in cutoffs:
+        if not math.isfinite(v):
+            raise ValueError(f"cutoffs must be finite, got {v!r}")
+    cutoffs = np.asarray(cutoffs)
     if cutoffs.size < 2 or cutoffs[0] <= 0:
         raise ValueError("need at least two positive cutoffs")
     if np.any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be strictly increasing")
-    if pE <= 0:
-        raise ValueError("external Euclidean momentum must be positive")
     unknown = set(variants) - set(LOOP_VARIANTS)
     if unknown:
         raise ValueError(f"unknown loop variants: {sorted(unknown)}")
@@ -246,33 +379,24 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
                 "real: use --variant scalar, or a cutoff with 1 + f >= 0 up to "
                 "the top cutoff", location=k0)
 
-    features = [pE] + [mass for mass in spectrum.masses if mass > 0]
-
-    # importing scipy.integrate costs ~0.48 s; of the subcommands only loop needs it
-    from scipy.integrate import quad
-    values = {}
-    increments = {}
-    tail_fits = {}
-    abserr = {}
+    edges = np.concatenate([[0.0], cutoffs])
+    values, increments, tail_fits, abserr, method = {}, {}, {}, {}, {}
     for variant in variants:
-        modified = variant.startswith("modified")
-        mass_type = variant.endswith("mass")
-        segs = []
-        abserr[variant] = 0.0
-        edges = np.concatenate([[0.0], cutoffs])
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            pts = [p for p in features if lo < p < hi] or None
-            val, err = quad(_loop_integrand, lo, hi,
-                            args=(pE, m, c, modified, mass_type),
-                            points=pts, epsabs=0.0, epsrel=1e-10, limit=400)
-            segs.append(val)
-            abserr[variant] += err
-        segs = np.array(segs)
+        fractions = _partial_fractions(spectrum, variant)
+        if fractions is not None:
+            segs, errs = _closed_form_segments(pE, *fractions, edges)
+            method[variant] = "closed form"
+        if fractions is None or not np.all(errs <= LOOP_RTOL * segs):
+            segs, errs = _quadpack_segments(pE, spectrum, edges,
+                                            variant.startswith("modified"),
+                                            variant.endswith("mass"))
+            method[variant] = "QUADPACK"
+        abserr[variant] = float(errs.sum())
         values[variant] = np.cumsum(segs)
         increments[variant] = segs[1:]
         tail_fits[variant] = _analyze_tail(cutoffs, values[variant], segs[1:])
     return LoopResult(cutoffs=cutoffs, values=values, increments=increments,
-                      tail_fits=tail_fits, abserr=abserr)
+                      tail_fits=tail_fits, abserr=abserr, method=method)
 
 
 def _linear_fit(x, y):

@@ -111,6 +111,28 @@ class SpectrumSolution:
     degenerate: bool
     n_complex: int
 
+    @property
+    def simple_cubic(self) -> bool:
+        """Three simple real roots: g(x) - 1 = -l3 prod (x - x_i) in full."""
+        return len(self.roots) == 3 and not self.degenerate
+
+    def sum_rules(self) -> dict:
+        """How far the residues miss their sum rules.
+
+        With three simple real roots, sum R_i = 0, sum R_i x_i = 0 and
+        -l3 sum R_i x_i^2 = 1.  Reported as sum R_i / sum |R_i|,
+        sum R_i x_i / sum |R_i x_i| and -l3 sum R_i x_i^2 - 1, so each
+        reads 0 up to rounding; NaN for any other spectrum (a repeated
+        root, a complex pair, a cutoff of lower degree).
+        """
+        if not self.simple_cubic:
+            return dict.fromkeys(("sum_r", "sum_rx", "l3_sum_rx2"), math.nan)
+        r, x = np.array(self.residues), np.array(self.roots)
+        return {"sum_r": float(r.sum() / np.abs(r).sum()),
+                "sum_rx": float((r * x).sum() / np.abs(r * x).sum()),
+                "l3_sum_rx2": float(-self.coefficients.lambda3
+                                    * (r * x * x).sum() - 1.0)}
+
     def to_dict(self) -> dict:
         return {
             "lambdas": list(self.coefficients.as_tuple()),
@@ -118,6 +140,7 @@ class SpectrumSolution:
             "roots": list(self.roots),
             "masses": list(self.masses),
             "residues": list(self.residues),
+            "sum_rules": self.sum_rules(),
             "discriminant": self.discriminant,
             "degenerate": self.degenerate,
             "n_complex": self.n_complex,

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -59,6 +60,19 @@ def test_spectrum_fit_reference_row(tmp_path):
     for got, want in zip(payload["lambdas"], REFERENCE_LAMBDAS["table3"]):
         assert got == pytest.approx(want, rel=5e-3)
     assert len(payload["roots"]) == 3
+    assert max(abs(v) for v in payload["sum_rules"].values()) < 1e-15
+
+
+def test_sum_rules_reach_spectrum_and_propagator_records(tmp_path):
+    assert main(["spectrum", "solve", "--lambdas=-2,3,-1", "--mass", "1",
+                 "-o", str(tmp_path / "deg.json")]) == 3
+    rules = load_json(tmp_path / "deg.json")["sum_rules"]
+    assert set(rules) == {"sum_r", "sum_rx", "l3_sum_rx2"}
+    assert all(math.isnan(v) for v in rules.values())
+    assert main(["propagator", "--preset", "table2b", "--points", "8",
+                 "-o", str(tmp_path / "p.csv")]) == 0
+    rules = load_json(tmp_path / "p.csv.meta.json")["poles"]["sum_rules"]
+    assert max(abs(v) for v in rules.values()) < 1e-15
 
 
 def test_spectrum_fit_second_quark_row(tmp_path):
@@ -302,6 +316,14 @@ EDGE_INPUTS = [
      "Euclidean denominator vanishes at k = 2 ("),
     (["loop", "--lambdas=0.5,0,0", "--mass", "1", "--variant", "mass"],
      "above k = 1.41421, so m sqrt(1 + f) is not real"),
+    # a NaN pE wrote an all-NaN table and an infinite one all zeros (exit
+    # 0); a non-finite cutoff failed in the tail fit's SVD
+    (["loop", "--preset", "table3", "--pe", "nan"], "got pE = nan"),
+    (["loop", "--preset", "table3", "--pe", "inf"], "got pE = inf"),
+    (["loop", "--preset", "table3", "--cutoffs", "100,nan,400"],
+     "cutoffs must be finite, got nan"),
+    (["loop", "--preset", "table3", "--cutoffs", "100,200,inf"],
+     "cutoffs must be finite, got inf"),
     (["density", "--mass", "1", "--dt", "0"], "dt must be positive"),
     # a NaN or infinite dt wrote an all-NaN table or raised ZeroDivisionError
     (["density", "--mass", "1", "--dt", "nan", "--dx", "0.05"],
@@ -348,6 +370,13 @@ def test_edge_inputs_are_domain_errors(tmp_path, capsys, argv, message):
     assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_cutoff_fails_before_lapack(tmp_path, capfd):
+    # the SVD of the tail fit printed LAPACK's DLASCL complaints to fd 2
+    assert main(["loop", "--preset", "table3", "--cutoffs", "100,nan,400",
+                 "-o", str(tmp_path / "l.csv")]) == 2
+    assert capfd.readouterr().err == "error: cutoffs must be finite, got nan\n"
 
 
 def test_density_at_a_huge_dt(tmp_path):
@@ -662,6 +691,21 @@ def test_levy_khintchine_quadrature_loads_no_scipy_integrate():
         "eta_from_triplet(0.3, relativistic_triplet(ExponentParams.from_mass(1.0)))")
     assert "scipy.special" in loaded  # the jump kernel's K1 ran
     assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]}
+
+
+@pytest.mark.parametrize("variant, integrates", [("scalar", False),
+                                                 ("mass", True)])
+def test_only_the_mass_loop_loads_scipy_integrate(tmp_path, variant,
+                                                  integrates):
+    # the scalar variants are closed form; m sqrt(1 + f) needs QUADPACK
+    out = tmp_path / "loop.csv"
+    loaded = scipy_modules_after(
+        "import levyqm.cli\n"
+        f"assert levyqm.cli.main(['loop', '--preset', 'table3', '--variant', "
+        f"{variant!r}, '-o', {str(out)!r}]) == 0")
+    assert ("scipy.integrate" in loaded) == integrates
+    methods = load_json(tmp_path / "loop.csv.meta.json")["diagnostics"]["method"]
+    assert set(methods.values()) == {"QUADPACK" if integrates else "closed form"}
 
 
 def test_spectrum_fit_loads_no_scipy(tmp_path):

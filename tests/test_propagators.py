@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import levyqm.propagators as propagators
 from levyqm.presets import PRESET_MASSES
-from levyqm.propagators import (NonpositiveDenominatorError,
+from levyqm.propagators import (LOOP_RTOL, NonpositiveDenominatorError,
+                                _h, _quadpack_segments,
                                 dirac_propagator_scalarized, find_poles,
                                 kg_propagator, loop_integral)
 from levyqm.spectrum import (CutoffPolynomial, MassTriple, fit_masses,
@@ -316,3 +318,167 @@ def test_angular_average_identity_monte_carlo():
         sample = 1.0 / (p ** 2 + k ** 2 - 2.0 * p * k * cos_theta)
         expected = 1.0 / max(p ** 2, k ** 2)
         assert sample.mean() == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("pe, cutoffs, message", [
+    (math.nan, [1.0, 2.0], "got pE = nan"),
+    (math.inf, [1.0, 2.0], "got pE = inf"),
+    (1.0, [100.0, math.nan, 400.0], "cutoffs must be finite, got nan"),
+    (1.0, [100.0, 200.0, math.inf], "cutoffs must be finite, got inf"),
+])
+def test_loop_rejects_non_finite_inputs(table3, monkeypatch, pe, cutoffs,
+                                        message):
+    # raised before any work: a NaN pE gave an all-NaN table, an infinite
+    # one all zeros, and a NaN cutoff reached the tail fit's SVD
+    def no_work(*args):
+        raise AssertionError("integrated a non-finite input")
+
+    monkeypatch.setattr(propagators, "_closed_form_segments", no_work)
+    monkeypatch.setattr(propagators, "_quadpack_segments", no_work)
+    with pytest.raises(ValueError, match=message):
+        loop_integral(pe, table3[0], cutoffs)
+
+
+# ---------------------------------------------------------------------------
+# closed-form scalar loop against mpmath and QUADPACK
+# ---------------------------------------------------------------------------
+
+SCALAR = ("unmodified-scalar", "modified-scalar")
+
+
+def mp_segments(pE, spectrum, edges, modified):
+    """The scalar proxy's segment integrals from 50-digit partial fractions.
+
+    The roots are mpmath's, of the float coefficients, complex pairs
+    included, so the oracle shares no rounding with the library.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        m2 = mp.mpf(spectrum.base_mass) ** 2
+        p2 = mp.mpf(pE) ** 2
+        if modified:
+            l1, l2, l3 = (mp.mpf(v) for v in spectrum.coefficients.as_tuple())
+            xs = mp.polyroots([l3, l2, l1 - 1, 1], maxsteps=400, extraprec=400)
+            fractions = [(1 / (1 - l1 - 2 * l2 * x - 3 * l3 * x * x), m2 * x)
+                         for x in xs]
+        else:
+            fractions = [(mp.mpf(1), m2)]
+
+        def above(k2):  # antiderivative of dK / (2 D)
+            return sum(r * mp.log(k2 + w) for r, w in fractions) / 2
+
+        def below(k2):  # antiderivative of K dK / (2 pE^2 D)
+            return sum(r * (k2 - w * mp.log(k2 + w))
+                       for r, w in fractions) / (2 * p2)
+
+        segs = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            lo2, hi2 = mp.mpf(lo) ** 2, mp.mpf(hi) ** 2
+            seg = mp.mpf(0)
+            if hi2 > p2:
+                seg += above(hi2) - above(max(lo2, p2))
+            if lo2 < p2:
+                seg += below(min(hi2, p2)) - below(lo2)
+            segs.append(float(mp.re(seg)))
+    return np.array(segs)
+
+
+def assert_matches_oracles(pE, spectrum, cutoffs, method, rtol=1e-13):
+    result = loop_integral(pE, spectrum, cutoffs, variants=SCALAR)
+    edges = np.concatenate([[0.0], cutoffs])
+    for variant in SCALAR:
+        assert result.method[variant] == method[variant]
+        modified = variant.startswith("modified")
+        exact = mp_segments(pE, spectrum, edges, modified)
+        quadpack, _ = _quadpack_segments(pE, spectrum, edges, modified, False)
+        for oracle in (exact, quadpack):
+            np.testing.assert_allclose(result.values[variant],
+                                       np.cumsum(oracle), rtol=rtol, atol=0)
+            np.testing.assert_allclose(result.increments[variant], oracle[1:],
+                                       rtol=rtol, atol=0)
+        # the error bound holds against the 50-digit oracle
+        assert abs(result.values[variant][-1] - np.sum(exact)) \
+            <= result.abserr[variant]
+    return result
+
+
+CLOSED = dict.fromkeys(SCALAR, "closed form")
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_MASSES))
+def test_closed_form_loop_matches_mpmath_and_quadpack(name):
+    masses = MassTriple.from_values(PRESET_MASSES[name])
+    spectrum = fit_masses(masses)
+    # the README sweep: pE the base mass, 100 m3 times 2^0 .. 2^8
+    cutoffs = 100.0 * masses.m3 * 2.0 ** np.arange(9)
+    result = assert_matches_oracles(spectrum.base_mass, spectrum, cutoffs,
+                                    CLOSED)
+    for variant in SCALAR:
+        assert result.abserr[variant] < 1e-12 * result.values[variant][-1]
+
+
+def test_closed_form_loop_with_a_negative_root():
+    # roots 1, 3, -50: the denominator (K + 1)(K + 3)(K - 50) vanishes at
+    # k = sqrt(50) = 7.07, above the top cutoff, so K + M^2 < 0 for the
+    # negative root throughout
+    spectrum = masses_from_lambdas(lambdas_of_roots(1.0, 3.0, -50.0), 1.0)
+    cutoffs = np.array([0.5, 1.0, 2.0, 4.0, 6.5])
+    for pE in (0.3, 1.0, 3.0):
+        assert_matches_oracles(pE, spectrum, cutoffs, CLOSED)
+
+
+def test_complex_pair_loop_takes_quadpack():
+    # g(x) - 1 = 0.2 (x - 1)(x^2 - 4x + 5): roots 1 and 2 +- i, of which the
+    # spectrum carries only the real one, so no partial fractions exist
+    spectrum = masses_from_lambdas(CutoffPolynomial(-0.8, 1.0, -0.2), 1.0)
+    assert spectrum.n_complex == 2
+    assert_matches_oracles(1.0, spectrum, 10.0 * 2.0 ** np.arange(6),
+                           {"unmodified-scalar": "closed form",
+                            "modified-scalar": "QUADPACK"})
+
+
+@pytest.mark.parametrize("gap, method", [(1e-2, "closed form"),
+                                         (3e-3, "QUADPACK"),
+                                         (3e-4, "QUADPACK"),
+                                         (1e-6, "QUADPACK")])
+def test_close_roots_take_quadpack_when_their_residues_round(gap, method):
+    # residues ~ 1/gap carry ~ eps/gap of rounding into sums that cancel
+    # to O(1): the closed form misses by 6.5e-11 at gap 3e-3, 1.1e-9 at
+    # 3e-4 and 7.9e-5 at 1e-6, so its rounding bound sends them to QUADPACK
+    spectrum = fit_masses(MassTriple(1.0, 1.0 + gap, 3.0))
+    cutoffs = 300.0 * 2.0 ** np.arange(9)
+    assert_matches_oracles(1.0, spectrum, cutoffs,
+                           {"unmodified-scalar": "closed form",
+                            "modified-scalar": method},
+                           rtol=LOOP_RTOL)
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_MASSES))
+def test_quartic_decay_follows_from_the_sum_rules(name):
+    # increments are (1/2) sum R_i [h(M_i^2/b^2) - h(M_i^2/a^2)]: the sum
+    # rules cancel the L^0 and L^-2 terms, leaving
+    # -(1/4) sum R_i M_i^4 (b^-4 - a^-4) = m^4 (b^-4 - a^-4) / (4 l3)
+    masses = MassTriple.from_values(PRESET_MASSES[name])
+    spectrum = fit_masses(masses)
+    rules = spectrum.sum_rules()
+    assert max(abs(v) for v in rules.values()) < 1e-15
+    cutoffs = 1e3 * masses.m3 * 2.0 ** np.arange(6)
+    result = loop_integral(spectrum.base_mass, spectrum, cutoffs,
+                           variants=("modified-scalar",))
+    l3, m = spectrum.coefficients.lambda3, spectrum.base_mass
+    leading = m ** 4 * (cutoffs[1:] ** -4.0 - cutoffs[:-1] ** -4.0) / (4.0 * l3)
+    np.testing.assert_allclose(result.increments["modified-scalar"], leading,
+                               rtol=1e-5)
+    fit = result.tail_fits["modified-scalar"]
+    assert fit.decay_exponent == pytest.approx(-4.0, abs=1e-5)
+    assert fit.decay_r2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-12, -1e-8, 1e-3, -0.05, 0.0999, 0.1, -0.3,
+                               0.5, 2.0, -3.0, 1e10])
+def test_h_against_mpmath(t):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = float(mp.log(abs(1 + mp.mpf(t))) - mp.mpf(t))
+    # 21 ulps at |t| = 0.1, just above the series
+    assert float(_h(np.array([t]))[0]) == pytest.approx(want, rel=5e-15, abs=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -330,6 +331,38 @@ def test_solution_serialization():
     assert d["roots"] == [1.0]
     assert d["masses"] == [2.0]
     assert d["residues"][0] > 0
+    assert list(d["sum_rules"]) == ["sum_r", "sum_rx", "l3_sum_rx2"]
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_MASSES))
+def test_sum_rules_hold_on_the_presets(name):
+    solution = fit_masses(MassTriple.from_values(PRESET_MASSES[name]))
+    assert solution.simple_cubic
+    rules = solution.sum_rules()
+    assert max(abs(v) for v in rules.values()) < 1e-15
+    # a residue of the wrong sign breaks them
+    for i in range(3):
+        residues = list(solution.residues)
+        residues[i] *= -1.0
+        wrong = dataclasses.replace(solution, residues=tuple(residues))
+        assert max(abs(v) for v in wrong.sum_rules().values()) > 1e-3
+
+
+@pytest.mark.parametrize("solution", [
+    masses_from_lambdas(TRIPLE, 1.0),                               # triple root
+    masses_from_lambdas(CutoffPolynomial(-0.8, 1.0, -0.2), 1.0),    # complex pair
+    masses_from_lambdas(CutoffPolynomial.zero(), 1.0),              # degree 1
+    masses_from_lambdas(CutoffPolynomial(0.0, -0.25, 0.0), 1.0),    # degree 2
+], ids=["triple", "complex-pair", "linear", "quadratic"])
+def test_sum_rules_are_nan_without_three_simple_roots(solution):
+    assert not solution.simple_cubic
+    assert all(math.isnan(v) for v in solution.sum_rules().values())
+
+
+def test_sum_rules_show_the_rounding_of_close_residues():
+    # residues ~ 5.6e5 of masses 1, 1.000001, 3 carry ~1e-10 of rounding
+    solution = fit_masses(MassTriple(1.0, 1.000001, 3.0))
+    assert 1e-7 < abs(solution.sum_rules()["l3_sum_rx2"]) < 1e-3
 
 
 @pytest.mark.parametrize("masses", [(1.0, 1.0, 2.0), (1.0, 1.0, 10.0),
