@@ -342,7 +342,7 @@ def cmd_loop(args) -> int:
     result = loop_integral(pe, solution, cutoffs, variants=variants)
     out = emit(args, {"tail_fits": {v: dataclasses.asdict(result.tail_fits[v])
                                     for v in variants},
-                      "diagnostics": {"quadrature_abserr": result.abserr,
+                      "diagnostics": {"abserr": result.abserr,
                                       "method": result.method}},
                {"cutoff": result.cutoffs,
                 **{v.replace("-", "_"): result.values[v] for v in variants}},

@@ -14,14 +14,10 @@ eta must therefore be a pure function of u.  A wave function's values
 are read-only, so its transform psi_hat is computed once, on first use,
 and shared by ``observables`` and the step: a run that records the
 observables and then steps each packet does one forward and one inverse
-transform per step.  Complex transforms use ``scipy.fft``: faster, and
-on complex input bit-identical to ``numpy.fft`` from numpy 2, which
-moved to the same C++ pocketfft (the tests compare the two).  It is
-imported where a transform is taken, not by the module: the import
-takes ~0.25 s, and a process that never steps a packet (every
-subcommand but evolve) skips it.  A branch of a cutoff spectrum evolves
-the same way at its branch mass, which ``evolve_modified`` reads from
-the given ``SpectrumSolution`` without solving the spectrum again.
+transform per step.  Transforms use ``numpy.fft``, as ``densities`` and
+the jump kernel do.  A branch of a cutoff spectrum evolves the same way
+at its branch mass, which ``evolve_modified`` reads from the given
+``SpectrumSolution`` without solving the spectrum again.
 
 For the pure-jump relativistic process the same generator has the
 integro-differential form
@@ -84,9 +80,7 @@ class WaveFunction:
     @cached_property
     def transform(self) -> np.ndarray:
         """psi_hat = fft(values) in numpy fft order, read-only."""
-        # importing scipy.fft costs ~0.25 s; of the subcommands only evolve needs it
-        import scipy.fft
-        transform = scipy.fft.fft(self.values)
+        transform = np.fft.fft(self.values)
         transform.setflags(write=False)
         return transform
 
@@ -199,8 +193,7 @@ def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFuncti
     psi_hat from ``psi.transform``.
     """
     multiplier = _spectral_multiplier(psi.grid, dt, eta, tau)
-    import scipy.fft
-    values = scipy.fft.ifft(multiplier * psi.transform)
+    values = np.fft.ifft(multiplier * psi.transform)
     return WaveFunction.from_samples(psi.grid, values, normalize=False)
 
 
@@ -294,8 +287,7 @@ def evolve_jump_quadrature(psi: WaveFunction, dt: float,
             f"{JUMP_STABILITY_FACTOR:g} tau = {JUMP_STABILITY_FACTOR * params.tau:g}")
 
     symbol, jmax, tail = _jump_kernel(psi.grid, params)
-    import scipy.fft
-    jump = scipy.fft.ifft(symbol * psi.transform)
+    jump = np.fft.ifft(symbol * psi.transform)
 
     new_values = psi.values + 1j * (dt / params.tau) * jump
 

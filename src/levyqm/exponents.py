@@ -17,7 +17,7 @@ which is the consistency check tying the closed form to the jump
 picture; ``eta_from_triplet`` evaluates it by Gauss-Kronrod quadrature
 in numpy.  K_n (n = 0, 1, 2; checked against mpmath, quadrature and
 recurrence oracles) comes from ``scipy.special``, imported inside
-``bessel_k``: the import takes ~0.25 s that most commands never need.
+``bessel_k``: the import takes ~0.2 s that most commands never need.
 
 Natural units throughout: hbar = c = 1, masses in GeV, lengths and
 times in GeV^-1.

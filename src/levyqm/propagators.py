@@ -51,6 +51,7 @@ residues round too coarsely for the closed form) take QUADPACK
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,15 @@ LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
                  "modified-scalar", "modified-mass")
 
 # find_poles' budget for |R_read/R - 1|, the residue read off each probe pair
-FIT_TOL = 1e-6
+RESIDUE_TOL = 1e-6
 # loop_integral's relative error budget per segment: QUADPACK's epsrel, and
 # the bound the closed form's rounding must meet
 LOOP_RTOL = 1e-10
+# the largest pE and cutoff whose square is a finite double
+LOOP_K_MAX = math.sqrt(sys.float_info.max)
+# QUADPACK's integrand divides by (k^2 + m^2) k^2, which overflows above this
+# k: the unmodified-mass integrand would read 0 there, and k^3 overflows too
+QUADPACK_K_MAX = math.sqrt(LOOP_K_MAX)
 
 
 class NonpositiveDenominatorError(ValueError):
@@ -181,7 +187,7 @@ def find_poles(spectrum: SpectrumSolution) -> tuple:
     exact from ``spectrum._residual``.  Averaging each +-delta
     pair cancels the first-order term that roots without a residue (a
     repeated root, a complex pair) leave.  Every reading must match R_i
-    to FIT_TOL, else ValueError names the root and the mismatch.
+    to RESIDUE_TOL, else ValueError names the root and the mismatch.
     """
     m, c = spectrum.base_mass, spectrum.coefficients
     simple = [(x, r) for x, r in zip(spectrum.roots, spectrum.residues)
@@ -198,10 +204,10 @@ def find_poles(spectrum: SpectrumSolution) -> tuple:
             misses.append(read / residue - 1.0)
         # np.max, not max: a NaN reading must fail the test below
         mismatch = float(np.max(np.abs(misses)))
-        if not mismatch <= FIT_TOL:
+        if not mismatch <= RESIDUE_TOL:
             raise ValueError(
                 f"pole at x = {x_root:g}: the residue read off the propagator "
-                f"misses 1/g'(x) by {mismatch:.2e}, above {FIT_TOL:g}")
+                f"misses 1/g'(x) by {mismatch:.2e}, above {RESIDUE_TOL:g}")
         fits.append(PoleFit(root=x_root, p2_pole=m ** 2 * x_root,
                             algebraic_residue=residue,
                             residue_mismatch=mismatch))
@@ -227,6 +233,9 @@ def _loop_integrand(k, pE, m, c, modified, mass_type):
 
 def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
     """QUADPACK's integral of each [edges_j, edges_j+1] and its error estimate."""
+    if edges[-1] > QUADPACK_K_MAX:
+        raise ValueError(f"cutoff {edges[-1]:g} overflows QUADPACK's integrand; "
+                         f"the largest accepted is {QUADPACK_K_MAX:.4g}")
     # of the subcommands only loop imports scipy.integrate, and only for
     # the variants without a closed form
     from scipy.integrate import quad
@@ -238,6 +247,9 @@ def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
         val, err = quad(_loop_integrand, lo, hi,
                         args=(pE, m, c, modified, mass_type),
                         points=pts, epsabs=0.0, epsrel=LOOP_RTOL, limit=400)
+        if not math.isfinite(val):
+            raise ValueError(f"QUADPACK's integrand overflows on [{lo:g}, {hi:g}]; "
+                             "lower the cutoffs")
         segs.append(val)
         errs.append(err)
     return np.array(segs), np.array(errs)
@@ -346,15 +358,24 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
     ``_closed_form_segments`` whenever their partial fractions exist and
     its rounding bound meets LOOP_RTOL on every segment; the rest, and
     close roots whose residues carry too few digits, take QUADPACK.
+    pE and the cutoffs may be at most LOOP_K_MAX, the largest double with
+    a finite square, and the cutoffs QUADPACK integrates at most
+    QUADPACK_K_MAX; beyond, ValueError names the bound.
     """
     pE = float(pE)
     if not (math.isfinite(pE) and pE > 0):
         raise ValueError("external Euclidean momentum must be positive and "
                          f"finite, got pE = {pE!r}")
+    if pE > LOOP_K_MAX:
+        raise ValueError(f"pE = {pE:g} overflows pE^2; the largest accepted is "
+                         f"{LOOP_K_MAX:.4g}")
     cutoffs = [float(v) for v in cutoffs]
     for v in cutoffs:
         if not math.isfinite(v):
             raise ValueError(f"cutoffs must be finite, got {v!r}")
+        if v > LOOP_K_MAX:
+            raise ValueError(f"cutoff {v:g} overflows k^2; the largest accepted "
+                             f"is {LOOP_K_MAX:.4g}")
     cutoffs = np.asarray(cutoffs)
     if cutoffs.size < 2 or cutoffs[0] <= 0:
         raise ValueError("need at least two positive cutoffs")

@@ -289,7 +289,7 @@ def test_loop_preset_tail_exponent(tmp_path):
     assert meta["tail_fits"]["unmodified-scalar"]["log_slope"] > 0
     cols = read_csv_columns(out)
     assert "modified_scalar" in cols
-    abserr = meta["diagnostics"]["quadrature_abserr"]
+    abserr = meta["diagnostics"]["abserr"]
     assert set(abserr) == {"unmodified-scalar", "modified-scalar"}
     for variant, err in abserr.items():
         column = cols[variant.replace("-", "_")]
@@ -324,6 +324,18 @@ EDGE_INPUTS = [
      "cutoffs must be finite, got nan"),
     (["loop", "--preset", "table3", "--cutoffs", "100,200,inf"],
      "cutoffs must be finite, got inf"),
+    # pE^2 or k^2 beyond the largest double: exit 1 with an OverflowError
+    (["loop", "--preset", "table3", "--pe", "1e200"],
+     "pE = 1e+200 overflows pE^2; the largest accepted is 1.341e+154"),
+    (["loop", "--preset", "table3", "--cutoffs", "1e100,1e160"],
+     "cutoff 1e+160 overflows k^2; the largest accepted is 1.341e+154"),
+    (["loop", "--preset", "table3", "--octaves", "600"],
+     "overflows k^2; the largest accepted is 1.341e+154"),
+    # QUADPACK's integrand read 0 (unmodified) or NaN (modified): exit 0
+    (["loop", "--preset", "table3", "--variant", "mass", "--cutoffs", "1e76,1e80"],
+     "cutoff 1e+80 overflows QUADPACK's integrand; the largest accepted is 1.158e+77"),
+    (["loop", "--preset", "table3", "--variant", "mass", "--cutoffs", "1e40,1e70"],
+     "QUADPACK's integrand overflows on [1e+40, 1e+70]"),
     (["density", "--mass", "1", "--dt", "0"], "dt must be positive"),
     # a NaN or infinite dt wrote an all-NaN table or raised ZeroDivisionError
     (["density", "--mass", "1", "--dt", "nan", "--dx", "0.05"],
@@ -584,13 +596,12 @@ README_EVOLVE = [
 
 @pytest.mark.parametrize("argv", README_EVOLVE, ids=" ".join)
 def test_evolve_transforms_once_per_step(tmp_path, monkeypatch, argv):
-    import scipy.fft
     counts = {"fft": 0, "ifft": 0}
-    for name, real in [("fft", scipy.fft.fft), ("ifft", scipy.fft.ifft)]:
+    for name, real in [("fft", np.fft.fft), ("ifft", np.fft.ifft)]:
         def counted(*a, _name=name, _real=real, **k):
             counts[_name] += 1
             return _real(*a, **k)
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     argv = [*argv]
     argv[argv.index("--steps") + 1] = "50"
     assert main(argv + ["-o", str(tmp_path / "e.csv")]) == 0
@@ -600,7 +611,6 @@ def test_evolve_transforms_once_per_step(tmp_path, monkeypatch, argv):
 def reference_evolve(path, mass, dt, steps, sigma=1.0, p0=0.0):
     """The README evolve loop, transforming each packet twice per step
     (once for the momentum centroid, once for the step) as it used to."""
-    import scipy.fft
     grid = GridSpec(n=2 ** 12, dx=0.05)
     x, u = grid.x_centers(), grid.u_fft()
     params = ExponentParams.from_mass(mass)
@@ -611,12 +621,12 @@ def reference_evolve(path, mass, dt, steps, sigma=1.0, p0=0.0):
         density = np.abs(psi) ** 2
         prob = density / density.sum()
         centroid = float(np.sum(x * prob))
-        spectral = np.abs(scipy.fft.fft(psi)) ** 2
+        spectral = np.abs(np.fft.fft(psi)) ** 2
         rows.append((step * dt, float(density.sum() * grid.dx), centroid,
                      float(np.sum((x - centroid) ** 2 * prob)),
                      float(np.sum(u * spectral) / spectral.sum())))
         if step < steps:
-            psi = scipy.fft.ifft(multiplier * scipy.fft.fft(psi))
+            psi = np.fft.ifft(multiplier * np.fft.fft(psi))
     reference_write_csv(path, ["t", "norm", "centroid", "variance",
                                "momentum_centroid"], list(zip(*rows)))
 
@@ -708,10 +718,23 @@ def test_only_the_mass_loop_loads_scipy_integrate(tmp_path, variant,
     assert set(methods.values()) == {"QUADPACK" if integrates else "closed form"}
 
 
+def scipy_modules_running(argv, out):
+    """The scipy modules loaded by ``main(argv + ['-o', out])``, which must
+    exit 0, in a fresh interpreter."""
+    return scipy_modules_after(
+        f"import levyqm.cli\nassert levyqm.cli.main({[*argv, '-o', str(out)]!r}) == 0")
+
+
 def test_spectrum_fit_loads_no_scipy(tmp_path):
     out = tmp_path / "fit.json"
-    assert scipy_modules_after(
-        "import levyqm.cli\n"
-        f"assert levyqm.cli.main(['spectrum', 'fit', '--masses', '1,2,3', "
-        f"'-o', {str(out)!r}]) == 0") == set()
+    assert scipy_modules_running(["spectrum", "fit", "--masses", "1,2,3"],
+                                 out) == set()
+    assert out.is_file()
+
+
+@pytest.mark.parametrize("argv", README_EVOLVE, ids=" ".join)
+def test_readme_evolve_loads_no_scipy(tmp_path, argv):
+    # transforms take numpy.fft, like densities and the jump kernel
+    out = tmp_path / "evolve.csv"
+    assert scipy_modules_running(argv, out) == set()
     assert out.is_file()

@@ -6,7 +6,8 @@ import pytest
 
 import levyqm.propagators as propagators
 from levyqm.presets import PRESET_MASSES
-from levyqm.propagators import (LOOP_RTOL, NonpositiveDenominatorError,
+from levyqm.propagators import (LOOP_K_MAX, LOOP_RTOL, QUADPACK_K_MAX,
+                                NonpositiveDenominatorError,
                                 _h, _quadpack_segments,
                                 dirac_propagator_scalarized, find_poles,
                                 kg_propagator, loop_integral)
@@ -337,6 +338,35 @@ def test_loop_rejects_non_finite_inputs(table3, monkeypatch, pe, cutoffs,
     monkeypatch.setattr(propagators, "_quadpack_segments", no_work)
     with pytest.raises(ValueError, match=message):
         loop_integral(pe, table3[0], cutoffs)
+
+
+def test_loop_takes_momenta_up_to_a_finite_square(table3):
+    # pE^2 and k^2 overflowed Python's float power with an OverflowError
+    for pe, cutoffs in [(LOOP_K_MAX, [1.0, 2.0]), (1.0, [1e100, LOOP_K_MAX])]:
+        result = loop_integral(pe, table3[0], cutoffs, variants=SCALAR)
+        assert set(result.method.values()) == {"closed form"}
+        assert all(np.all(np.isfinite(v)) for v in result.values.values())
+    above = math.nextafter(LOOP_K_MAX, math.inf)
+    for pe, cutoffs in [(above, [1.0, 2.0]), (1.0, [1.0, above])]:
+        with pytest.raises(ValueError, match="the largest accepted is 1.341e"):
+            loop_integral(pe, table3[0], cutoffs, variants=SCALAR)
+
+
+def test_quadpack_takes_cutoffs_while_its_integrand_is_right(table3):
+    # the unmodified-mass integrand is m k^3 / ((k^2 + m^2) k^2) ~ m/k; above
+    # QUADPACK_K_MAX its denominator overflowed and it read 0
+    spectrum = table3[0]
+    m = spectrum.base_mass
+    result = loop_integral(1.0, spectrum, [1e76, QUADPACK_K_MAX],
+                           variants=("unmodified-mass",))
+    assert result.increments["unmodified-mass"][0] == pytest.approx(
+        m * math.log(QUADPACK_K_MAX / 1e76), rel=1e-9)
+    with pytest.raises(ValueError, match="the largest accepted is 1.158e"):
+        loop_integral(1.0, spectrum, [1e76, math.nextafter(QUADPACK_K_MAX, 2e77)],
+                      variants=("unmodified-mass",))
+    # the modified-mass integrand, ~k^6 / k^8, is inf / inf above ~1e51
+    with pytest.raises(ValueError, match="integrand overflows on"):
+        loop_integral(1.0, spectrum, [1e40, 1e70], variants=("modified-mass",))
 
 
 # ---------------------------------------------------------------------------
