@@ -7,7 +7,8 @@ rename) together with a JSON provenance record.  The record's parameters
 are every parsed argument plus the values resolved from them (a preset's
 mass and coefficients, the density grid, the loop cutoffs), so a new
 flag is recorded without further code.  Numbers in CSV carry 17
-significant digits so files diff exactly at double precision.
+significant digits so files diff exactly at double precision, and
+tables are written CSV_BLOCK rows at a time.
 Commands with a cutoff source (--preset, --lambdas with --mass, or
 --masses) solve its spectrum once, in ``_cutoff_from_args``, and pass
 that one ``SpectrumSolution`` to the library; its base mass and
@@ -53,6 +54,10 @@ EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
+# rows of a CSV formatted and written at once: write_csv's working memory
+# is this many rows of Python floats and text, whatever the table's length
+CSV_BLOCK = 4096
+
 # namespace entries that route the run rather than parameterize it
 _NOT_PARAMETERS = ("func", "output", "command", "spectrum_command")
 
@@ -61,13 +66,15 @@ _NOT_PARAMETERS = ("func", "output", "command", "spectrum_command")
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` into a temp file beside ``path``,
+    then rename it over ``path``: a failure at any chunk leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,18 +85,33 @@ def _atomic_write(path: Path, text: str) -> None:
 def write_csv(path: Path, header, columns) -> None:
     """Header line, then one line per row of ``%.17g`` values.
 
-    The whole table is one ``%`` call on a repeated row template; the
-    bytes are those of formatting each value on its own, since
-    ``"%.17g" % v`` is ``format(float(v), ".17g")``, nan/inf/-0 included.
+    The rows are formatted and written CSV_BLOCK at a time, each block
+    one ``%`` call on a repeated row template over the columns' slices,
+    so the working memory beyond the columns is a block's, whatever the
+    table's length.  The bytes are those of formatting each value on its
+    own, since ``"%.17g" % v`` is ``format(float(v), ".17g")``,
+    nan/inf/-0 included.  Columns of unequal length raise ValueError
+    before any file is made.
     """
-    table = np.column_stack(columns)
+    columns = [np.asarray(col) for col in columns]
+    lengths = {len(col) for col in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"columns must share one length, got {sorted(lengths)}")
+    (n_rows,) = lengths
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    body = row * len(table) % tuple(table.ravel().tolist())
-    _atomic_write(path, ",".join(header) + "\n" + body)
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for start in range(0, n_rows, CSV_BLOCK):
+            block = np.column_stack([col[start:start + CSV_BLOCK]
+                                     for col in columns])
+            yield row * len(block) % tuple(block.ravel().tolist())
+
+    _atomic_write(path, chunks())
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _subcommand(args) -> str:

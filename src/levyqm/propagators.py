@@ -232,14 +232,34 @@ def _loop_integrand(k, pE, m, c, modified, mass_type):
 
 
 def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
-    """QUADPACK's integral of each [edges_j, edges_j+1] and its error estimate."""
-    if edges[-1] > QUADPACK_K_MAX:
-        raise ValueError(f"cutoff {edges[-1]:g} overflows QUADPACK's integrand; "
+    """QUADPACK's integral of each [edges_j, edges_j+1] and its error estimate.
+
+    Above the top cutoff pE sets the integrand's denominator
+    D(k^2) pE^2, D(K) = K + m^2 (1 + f(-K/m^2)); where that passes the
+    largest double the integrand reads 0, so such a pE raises ValueError
+    naming the largest pE these cutoffs accept.
+    """
+    top = float(edges[-1])
+    if top > QUADPACK_K_MAX:
+        raise ValueError(f"cutoff {top:g} overflows QUADPACK's integrand; "
                          f"the largest accepted is {QUADPACK_K_MAX:.4g}")
+    m, c = spectrum.base_mass, spectrum.coefficients
+    if pE > top:
+        # |D| on [0, top] is at most the sum of its terms' sizes at the top
+        ratio = top / m
+        x = ratio * ratio
+        f_size = (abs(c.lambda1) * x + abs(c.lambda2) * x * x
+                  + abs(c.lambda3) * x * x * x) if modified else 0.0
+        d_max = top ** 2 + m ** 2 * (1.0 + f_size)
+        if d_max * pE ** 2 > sys.float_info.max:
+            raise ValueError(
+                f"pE = {pE:g} overflows QUADPACK's integrand, whose "
+                f"denominator is (k^2 + m^2 (1 + f)) pE^2 below pE; the "
+                f"largest accepted for cutoffs up to {top:g} is "
+                f"{math.sqrt(sys.float_info.max / d_max):.4g}")
     # of the subcommands only loop imports scipy.integrate, and only for
     # the variants without a closed form
     from scipy.integrate import quad
-    m, c = spectrum.base_mass, spectrum.coefficients
     features = [pE] + [mass for mass in spectrum.masses if mass > 0]
     segs, errs = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -406,11 +426,27 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
         fractions = _partial_fractions(spectrum, variant)
         if fractions is not None:
             segs, errs = _closed_form_segments(pE, *fractions, edges)
+            resolved = errs <= LOOP_RTOL * segs
             method[variant] = "closed form"
-        if fractions is None or not np.all(errs <= LOOP_RTOL * segs):
-            segs, errs = _quadpack_segments(pE, spectrum, edges,
-                                            variant.startswith("modified"),
-                                            variant.endswith("mass"))
+        if fractions is None or not resolved.all():
+            try:
+                segs, errs = _quadpack_segments(pE, spectrum, edges,
+                                                variant.startswith("modified"),
+                                                variant.endswith("mass"))
+            except ValueError as exc:
+                if fractions is None:
+                    raise
+                # the closed form's limit is the cause: QUADPACK only
+                # stood in for it
+                j = int(np.argmin(resolved))
+                limit = (f"reads {segs[j]:.3g} with a rounding bound of "
+                         f"{errs[j]:.3g}, so it resolves no segment below "
+                         f"{errs[j] / LOOP_RTOL:.3g} there"
+                         if math.isfinite(errs[j]) else "overflows there")
+                raise ValueError(
+                    f"{variant} on [{edges[j]:g}, {edges[j + 1]:g}]: the closed "
+                    f"form {limit}; lower pE or the cutoffs (QUADPACK cannot "
+                    f"stand in: {exc})") from exc
             method[variant] = "QUADPACK"
         abserr[variant] = float(errs.sum())
         values[variant] = np.cumsum(segs)

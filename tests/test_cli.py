@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -336,6 +337,23 @@ EDGE_INPUTS = [
      "cutoff 1e+80 overflows QUADPACK's integrand; the largest accepted is 1.158e+77"),
     (["loop", "--preset", "table3", "--variant", "mass", "--cutoffs", "1e40,1e70"],
      "QUADPACK's integrand overflows on [1e+40, 1e+70]"),
+    # pE^2 (k^2 + m^2) overflowed and QUADPACK's integrand read 0 above
+    # k ~ 134: unmodified_mass was 4.593e-304 in both rows, where
+    # m K^2/(2 pE^2) gives 2.555e-302 and 1.022e-301 (exit 0)
+    (["loop", "--preset", "table3", "--variant", "mass", "--pe", "1e152",
+      "--cutoffs", "1000,2000"],
+     "pE = 1e+152 overflows QUADPACK's integrand, whose denominator is "
+     "(k^2 + m^2 (1 + f)) pE^2 below pE; the largest accepted for cutoffs "
+     "up to 2000 is 6.704e+150"),
+    # the same for modified_mass: 2.219e-300 in both rows, where the
+    # integral is 1.866e-298 and 3.735e-298 (exit 0)
+    (["loop", "--preset", "table3", "--variant", "mass", "--pe", "1e150",
+      "--cutoffs", "1000,2000"],
+     "the largest accepted for cutoffs up to 2000 is 3.133e+143"),
+    # the closed form's segment underflowed, and the message named
+    # QUADPACK's cutoff bound as the cause
+    (["loop", "--preset", "table3", "--pe", "1e150", "--cutoffs", "1e100,1e150"],
+     "modified-scalar on [1e+100, 1e+150]: the closed form reads "),
     (["density", "--mass", "1", "--dt", "0"], "dt must be positive"),
     # a NaN or infinite dt wrote an all-NaN table or raised ZeroDivisionError
     (["density", "--mass", "1", "--dt", "nan", "--dx", "0.05"],
@@ -657,6 +675,16 @@ EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300,
                -1e300, 1e-300, -1e-300, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0]
 
 
+def tiled_edge_values(n_rows):
+    """n_rows rows of EDGE_VALUES tiled, an int column between two floats."""
+    values = np.resize(np.array(EDGE_VALUES), n_rows)
+    return [values, np.arange(n_rows) * 7 - 40, values[::-1]]
+
+
+BLOCK_ROWS = {"block-1": cli.CSV_BLOCK - 1, "block": cli.CSV_BLOCK,
+              "block+1": cli.CSV_BLOCK + 1, "2block+3": 2 * cli.CSV_BLOCK + 3}
+
+
 @pytest.mark.parametrize("columns", [
     [EDGE_VALUES],
     [EDGE_VALUES, EDGE_VALUES[::-1],
@@ -664,13 +692,51 @@ EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300,
      tuple(np.random.default_rng(0).standard_normal(len(EDGE_VALUES)))],
     [np.array([0, -3, 2 ** 40, 2 ** 60 + 1, -(2 ** 62)])],
     [np.array([], dtype=float), np.array([], dtype=float)],
-], ids=["one-column", "four-columns", "ints", "empty"])
+    *[tiled_edge_values(n) for n in BLOCK_ROWS.values()],
+], ids=["one-column", "four-columns", "ints", "empty", *BLOCK_ROWS])
 def test_write_csv_matches_per_value_format(tmp_path, columns):
     header = [f"c{i}" for i in range(len(columns))]
     write_csv(tmp_path / "new.csv", header, columns)
     reference_write_csv(tmp_path / "ref.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_rejects_unequal_columns_before_any_file(tmp_path,
+                                                          monkeypatch):
+    # blocks cut at the first column's length would drop the second's last row
+    def no_file(*args, **kwargs):
+        raise AssertionError("made a file for an invalid table")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", no_file)
+    n = 2 * cli.CSV_BLOCK
+    with pytest.raises(ValueError, match=rf"one length, got \[{n}, {n + 1}\]"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(n), np.zeros(n + 1)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_failing_in_a_later_block_leaves_no_file(tmp_path):
+    # the first block is in the temp file when the second one's str fails
+    text = np.array([0.5] * cli.CSV_BLOCK + ["x"], dtype=object)
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(len(text)), text])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # the whole-table writer peaked at ~37 MB here: a list of floats, a
+    # tuple, the body, the header + body copy and its encoded bytes
+    paths, steps = 2000, 100
+    columns = [np.repeat(np.arange(paths), steps),
+               np.tile(np.linspace(0.0, 1.0, steps), paths),
+               np.random.default_rng(0).standard_normal(paths * steps)]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "t.csv", ["path", "t", "x"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------

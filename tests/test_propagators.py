@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,6 +368,34 @@ def test_quadpack_takes_cutoffs_while_its_integrand_is_right(table3):
     # the modified-mass integrand, ~k^6 / k^8, is inf / inf above ~1e51
     with pytest.raises(ValueError, match="integrand overflows on"):
         loop_integral(1.0, spectrum, [1e40, 1e70], variants=("modified-mass",))
+
+
+@pytest.mark.parametrize("variant, largest", [("unmodified-mass", 6.704e150),
+                                              ("modified-mass", 3.133e143)])
+def test_quadpack_takes_pe_while_its_denominator_is_finite(table3, variant,
+                                                           largest):
+    # above the top cutoff the integrand is k^3 N / (D pE^2), so pE^2 I is
+    # one number at every pE; where D pE^2 overflowed the integrand read 0,
+    # and unmodified-mass at pE = 1e152 came out 4.59e-304 in both rows
+    spectrum, cutoffs = table3[0], [1e3, 2e3]
+    scaled = [loop_integral(pe, spectrum, cutoffs, variants=(variant,))
+              .values[variant] * pe ** 2 for pe in (1e4, 0.999 * largest)]
+    np.testing.assert_allclose(scaled[1], scaled[0], rtol=1e-9)
+    message = f"the largest accepted for cutoffs up to 2000 is {largest:.4g}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loop_integral(1.001 * largest, spectrum, cutoffs, variants=(variant,))
+
+
+def test_closed_form_out_of_range_names_its_own_limit(table3):
+    # the segment [1e100, 1e150] is ~1e-500, below every double, and the
+    # closed form read -8.9e-316; the QUADPACK fallback then refused the
+    # cutoff, and its message was the only one the run gave
+    with pytest.raises(ValueError, match=r"modified-scalar on \[1e\+100, "
+                       r"1e\+150\]: the closed form reads .* so it resolves "
+                       r"no segment below \S+ there; lower pE or the cutoffs "
+                       r"\(QUADPACK cannot stand in: cutoff 1e\+150"):
+        loop_integral(1e150, table3[0], [1e100, 1e150],
+                      variants=("unmodified-scalar", "modified-scalar"))
 
 
 # ---------------------------------------------------------------------------
