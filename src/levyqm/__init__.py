@@ -40,13 +40,10 @@ from .exponents import (
     eta_from_triplet,
     eta_modified_branch,
     eta_relativistic,
-    kinetic_energy,
 )
 from .propagators import (
-    DiracScalarized,
     LoopResult,
     NonpositiveDenominatorError,
-    dirac_propagator_scalarized,
     find_poles,
     kg_propagator,
     loop_integral,
@@ -70,29 +67,3 @@ from .spectrum import (
     lambdas_from_roots,
     masses_from_lambdas,
 )
-
-__all__ = [
-    "__version__",
-    # exponents
-    "ExponentParams", "LevyTriplet", "LogCharacteristic", "QuadratureSpec",
-    "TailDivergenceError", "bessel_k", "eta_from_triplet",
-    "eta_modified_branch", "eta_relativistic", "kinetic_energy",
-    # spectrum
-    "CutoffPolynomial", "MassTriple", "SpectrumSolution", "f_eval",
-    "fit_masses", "g_eval", "lambdas_from_roots", "masses_from_lambdas",
-    # densities
-    "DensityTable", "GridError", "GridSpec", "convolve", "default_grid",
-    "levy_density_1d", "levy_density_3d", "moments", "relativistic_triplet",
-    "transition_density",
-    # evolution
-    "Observables", "StabilityError", "WaveFunction",
-    "evolve_jump_quadrature", "evolve_modified", "evolve_spectral",
-    "gaussian_packet", "observables",
-    # propagators
-    "DiracScalarized", "LoopResult", "NonpositiveDenominatorError",
-    "dirac_propagator_scalarized", "find_poles", "kg_propagator",
-    "loop_integral",
-    # sampler
-    "KSReport", "PathSample", "SeededGenerator", "ks_validate",
-    "sample_increment", "sample_inverse_gaussian", "sample_path",
-]

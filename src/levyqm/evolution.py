@@ -226,13 +226,9 @@ _GL4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                          0.6521451548625461, 0.3478548451374538])
 
 
-def _kernel_radius(params: ExponentParams) -> float:
-    # outermost |y| where W(y) |y| = K1(y/a)/pi stays above 1e-16
-    z = 30.0
-    for _ in range(8):
-        z -= (math.log(math.sqrt(math.pi / (2.0 * z))) - z
-              - math.log(math.pi * 1e-16)) / (-1.0 - 0.5 / z)
-    return z * params.a
+# the kernel's radius over a: the outermost |y|/a where W(y) |y| = K1(y/a)/pi
+# stays above 1e-16, solved on K1's asymptote sqrt(pi/(2z)) e^-z = pi 1e-16
+_KERNEL_RADIUS_Z = 34.15694006058636
 
 
 @lru_cache(maxsize=8)
@@ -247,7 +243,7 @@ def _jump_kernel(grid: GridSpec, params: ExponentParams):
     real symbol returned.  jmax <= n/2 - 1, so the +-j cells never alias.
     """
     dx = grid.dx
-    y_max = _kernel_radius(params)
+    y_max = _KERNEL_RADIUS_Z * params.a
     jmax = min(int(math.ceil(y_max / dx)), grid.n // 2 - 1)
 
     j = np.arange(1, jmax + 1)

@@ -36,10 +36,12 @@ import numpy as np
 LOG_DECAY_CRITERION = math.log(1e-12)
 
 # Per call at most U_BATCH u and MAX_INTERVALS pieces (~1.3 kB each at the
-# peak of a round); estimates below ROUNDOFF |integral| are rounding.  GK21
-# (QUADPACK qk21; Piessens et al. 1983): abscissae >= 0, K21 and G10 weights.
+# peak of a round), over MAX_DOUBLINGS panels; estimates below ROUNDOFF
+# |integral| are rounding.  GK21 (QUADPACK qk21; Piessens et al. 1983):
+# abscissae >= 0, K21 and G10 weights.
 U_BATCH = 64
 MAX_INTERVALS = 2 ** 17
+MAX_DOUBLINGS = 48
 ROUNDOFF = 50.0 * np.finfo(float).eps
 _XK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
                 0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
@@ -152,10 +154,9 @@ class LevyTriplet:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance/panel policy for the compensated jump integral."""
+    """Tolerance of the compensated jump integral."""
 
     tol: float = 1e-10
-    max_doublings: int = 48
 
 
 @dataclass(frozen=True)
@@ -194,23 +195,6 @@ def eta_relativistic(u, params: ExponentParams):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def kinetic_energy(p, m: float):
-    """Relativistic kinetic energy sqrt(m^2 + p^2) - m.
-
-    Evaluated as p^2 / (hypot(m, p) + m), which is exact algebra and
-    keeps full relative precision in the nonrelativistic regime; it
-    must agree with -m eta(p) for the natural-unit exponent of mass m.
-    """
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    p_arr = np.asarray(p, dtype=float)
-    energy = np.hypot(m, p_arr)
-    with np.errstate(over="ignore"):
-        small = p_arr * p_arr / (energy + m)
-    out = np.where(np.abs(p_arr) < m, small, energy - m)
-    return float(out) if np.ndim(p) == 0 else out
-
-
 def eta_modified_branch(u, base: ExponentParams, root_x: float):
     """Exponent of the spectrum branch with squared-mass ratio root_x.
 
@@ -233,7 +217,7 @@ def eta_from_triplet(u, triplet: LevyTriplet,
     periods of sin^2 where 2 width W(left edge) >= tol (the first always); a
     u stops after two consecutive panels below 0.25 tol max(1, |total|) and
     refines its own pieces only, so arrays give the scalar bytes.
-    TailDivergenceError (no stop in max_doublings panels) and
+    TailDivergenceError (no stop in MAX_DOUBLINGS panels) and
     QuadratureToleranceError (over MAX_INTERVALS pieces; estimate, at least
     ROUNDOFF |total|, above tol) name the u at fault, and so does the
     ValueError for a u that is not finite.
@@ -253,9 +237,7 @@ def eta_from_triplet(u, triplet: LevyTriplet,
 
 def _add_jump_integral(u, eta, triplet: LevyTriplet, policy: QuadratureSpec):
     """eta + 2 int_0^inf -2 sin^2(u x / 2) W(x) dx for 1-D u and eta."""
-    s, tol, n, density = triplet.scale, policy.tol, policy.max_doublings, triplet.jump_density
-    if n == 0:
-        raise TailDivergenceError(f"jump integral at u = {u[0]:g} has no panels", [])
+    s, tol, n, density = triplet.scale, policy.tol, MAX_DOUBLINGS, triplet.jump_density
     edges = np.append(0.0, s * 2.0 ** np.arange(n, dtype=float))
     split = np.append(True, 2.0 * np.diff(edges)[1:] * density(edges[1:])[:-1] >= tol)
     row, panel = np.divmod(np.arange(u.size * n), n)  # one piece per (u, panel) cell

@@ -6,9 +6,10 @@ The scalar two-point function is
 
 whose poles sit exactly at p^2 = m^2 x_i for the spectrum roots
 g(x_i) = 1, with residue 1/g'(x_i) in the p^2 variable.  The spinor
-propagator rationalizes into two additive scalar structures sharing
-that denominator; only the two invariant coefficients are carried here,
-no gamma-matrix algebra.  Pole finding and the loop sweep take a solved
+propagator rationalizes into two invariants over that denominator: the
+vector one is K itself and the scalar one m sqrt(1 + f) K, so their
+ratio at pole i is M_i = m sqrt(x_i), because 1 + f(x_i) = x_i is the
+root condition g(x_i) = 1.  Pole finding and the loop sweep take a solved
 ``SpectrumSolution`` and do not solve it again, so the poles, their
 residues (read off K = sum_i R_i / (p^2 - M_i^2)) and the loop's break
 points share one set of roots.
@@ -68,8 +69,8 @@ RESIDUE_TOL = 1e-6
 LOOP_RTOL = 1e-10
 # the largest pE and cutoff whose square is a finite double
 LOOP_K_MAX = math.sqrt(sys.float_info.max)
-# QUADPACK's integrand divides by (k^2 + m^2) k^2, which overflows above this
-# k: the unmodified-mass integrand would read 0 there, and k^3 overflows too
+# the largest cutoff QUADPACK takes: k^3, which its integrand forms below
+# pE, stays finite
 QUADPACK_K_MAX = math.sqrt(LOOP_K_MAX)
 
 
@@ -79,20 +80,6 @@ class NonpositiveDenominatorError(ValueError):
     def __init__(self, message, location):
         super().__init__(message)
         self.location = location
-
-
-@dataclass(frozen=True)
-class DiracScalarized:
-    """Invariant coefficients of the rationalized spinor propagator.
-
-    vector_coeff multiplies the momentum-slash structure, scalar_coeff
-    the identity; both share the scalar denominator, and their ratio is
-    the local mass m sqrt(1 + f(p^2/m^2)) (complex where 1 + f < 0,
-    reported rather than rejected).
-    """
-
-    vector_coeff: complex
-    scalar_coeff: complex
 
 
 @dataclass(frozen=True)
@@ -161,19 +148,6 @@ def kg_propagator(p2, m: float, c: CutoffPolynomial, eps: float):
     return complex(out) if np.ndim(p2) == 0 else out
 
 
-def dirac_propagator_scalarized(p2, m: float, c: CutoffPolynomial,
-                                eps: float) -> DiracScalarized:
-    """Invariant coefficients of the rationalized spinor propagator."""
-    vector = kg_propagator(p2, m, c, eps)
-    x = np.asarray(p2, dtype=float) / m ** 2
-    local_mass = m * np.sqrt(np.asarray(1.0 + f_eval(x, c), dtype=complex))
-    scalar = local_mass * vector
-    if np.ndim(p2) == 0:
-        return DiracScalarized(vector_coeff=complex(vector),
-                               scalar_coeff=complex(scalar))
-    return DiracScalarized(vector_coeff=vector, scalar_coeff=scalar)
-
-
 def find_poles(spectrum: SpectrumSolution) -> tuple:
     """Poles of the spectrum's scalar propagator, residues certified.
 
@@ -226,9 +200,10 @@ def _first_euclidean_zero(xs, m, k_max):
 
 def _loop_integrand(k, pE, m, c, modified, mass_type):
     f_e = f_eval(-(k / m) ** 2, c) if modified else 0.0
-    denom = (k ** 2 + m ** 2 * (1.0 + f_e)) * max(pE ** 2, k ** 2)
+    denom = k ** 2 + m ** 2 * (1.0 + f_e)
     numer = m * math.sqrt(1.0 + f_e) if mass_type else 1.0
-    return k ** 3 * numer / denom
+    # above pE, k^3 / k^2 is k: denom k^2 would overflow first
+    return k * numer / denom if k > pE else k ** 3 * numer / (denom * pE ** 2)
 
 
 def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
@@ -425,8 +400,12 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
     for variant in variants:
         fractions = _partial_fractions(spectrum, variant)
         if fractions is not None:
-            segs, errs = _closed_form_segments(pE, *fractions, edges)
-            resolved = errs <= LOOP_RTOL * segs
+            # K/M_i^2, M_i^2/K and the ratio of a segment's K ends can
+            # overflow; such a segment is not finite, so it is not resolved
+            # and needs no warning
+            with np.errstate(all="ignore"):
+                segs, errs = _closed_form_segments(pE, *fractions, edges)
+            resolved = np.isfinite(segs) & (errs <= LOOP_RTOL * segs)
             method[variant] = "closed form"
         if fractions is None or not resolved.all():
             try:

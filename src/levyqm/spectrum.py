@@ -59,10 +59,6 @@ class CutoffPolynomial:
             if not math.isfinite(v):
                 raise ValueError("cutoff coefficients must be finite")
 
-    @classmethod
-    def zero(cls) -> "CutoffPolynomial":
-        return cls(0.0, 0.0, 0.0)
-
     def as_tuple(self):
         return (self.lambda1, self.lambda2, self.lambda3)
 

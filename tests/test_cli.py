@@ -409,6 +409,19 @@ def test_non_finite_cutoff_fails_before_lapack(tmp_path, capfd):
     assert capfd.readouterr().err == "error: cutoffs must be finite, got nan\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_closed_form_overflow_fails_with_one_line(tmp_path, capfd):
+    # numpy's overflow and invalid-value warnings from the closed form reached
+    # stderr before the message; pytest records warnings, so here they raise
+    assert main(["loop", "--preset", "table3", "--pe", "1e154", "--cutoffs",
+                 "1e100,1.2e154", "-o", str(tmp_path / "l.csv")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: unmodified-scalar on [1e+100, 1.2e+154]: "
+                          "the closed form overflows there")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_density_at_a_huge_dt(tmp_path):
     out = tmp_path / "density.csv"
     assert main(["density", "--mass", "1", "--dt", "1e300", "-o", str(out)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from levyqm import (ExponentParams, LevyTriplet, LogCharacteristic,
                     QuadratureSpec, TailDivergenceError, eta_from_triplet,
-                    eta_modified_branch, eta_relativistic, kinetic_energy)
+                    eta_modified_branch, eta_relativistic)
 from levyqm import exponents
 from levyqm.densities import relativistic_triplet
 from levyqm.exponents import QuadratureToleranceError
@@ -54,38 +54,22 @@ def test_eta_relativistic_properties(m, u):
     assert val <= 0.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(m=masses, p=momenta)
+def test_eta_relativistic_matches_hypot_form(m, p):
+    # the kinetic energy sqrt(m^2 + p^2) - m is -(1/tau) eta(p) under the
+    # natural identification; its exact form p^2 / (hypot(m, p) + m) is an
+    # independent floating expression
+    params = ExponentParams.from_mass(m)
+    want = p * p / (math.hypot(m, p) + m)
+    assert -m * eta_relativistic(p, params) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
 def test_eta_relativistic_concavity():
     u = np.linspace(-30.0, 30.0, 401)
     eta = eta_relativistic(u, UNIT)
     second = eta[2:] - 2.0 * eta[1:-1] + eta[:-2]
     assert np.all(second <= 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# kinetic energy
-# ---------------------------------------------------------------------------
-
-def test_kinetic_energy_rest_and_exact():
-    assert kinetic_energy(0.0, 1.0) == 0.0
-    assert kinetic_energy(math.sqrt(3.0), 1.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_kinetic_energy_nonrelativistic_limit():
-    # p^2/2m with the exact remainder p^4/8m^3 = 1.25e-13 at p = 1e-3
-    got = kinetic_energy(1e-3, 1.0)
-    assert got == pytest.approx(5e-7, abs=1.5e-13)
-    assert got == pytest.approx(5e-7 - 1.25e-13, abs=1e-18)
-
-
-@settings(max_examples=80, deadline=None)
-@given(m=masses, p=momenta)
-def test_kinetic_energy_matches_exponent(m, p):
-    # E0 = -(1/tau) eta(p) under the natural identification; independent
-    # floating expressions on the two sides
-    params = ExponentParams.from_mass(m)
-    lhs = kinetic_energy(p, m)
-    rhs = -m * eta_relativistic(p, params)
-    assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +184,12 @@ def test_gaussian_part_adds():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:The maximum number")
-def test_divergent_tail_raises_with_partial_sums():
+def test_divergent_tail_raises_with_partial_sums(monkeypatch):
     # W ~ 1/(1+|x|) has a non-integrable tail: not a Levy measure
     bad = LevyTriplet(jump_density=lambda x: 1.0 / (1.0 + abs(x)))
+    monkeypatch.setattr(exponents, "MAX_DOUBLINGS", 20)
     with pytest.raises(TailDivergenceError) as err:
-        eta_from_triplet(1.0, bad, QuadratureSpec(max_doublings=20))
+        eta_from_triplet(1.0, bad)
     assert len(err.value.partial_sums) == 20
 
 
@@ -244,13 +229,6 @@ def test_empty_u_gives_empty_array():
         got = eta_from_triplet(np.array([]), triplet)
         assert isinstance(got, np.ndarray) and got.shape == (0,)
     assert LogCharacteristic.from_triplet(trip)(np.zeros((0, 3))).shape == (0, 3)
-
-
-def test_no_panels_is_a_tail_divergence():
-    trip = relativistic_triplet(UNIT)
-    with pytest.raises(TailDivergenceError, match="u = 1") as err:
-        eta_from_triplet(1.0, trip, QuadratureSpec(max_doublings=0))
-    assert err.value.partial_sums == []
 
 
 def test_unconverged_panel_in_an_array_names_its_u():

@@ -10,12 +10,11 @@ from levyqm.presets import PRESET_MASSES
 from levyqm.propagators import (LOOP_K_MAX, LOOP_RTOL, QUADPACK_K_MAX,
                                 NonpositiveDenominatorError,
                                 _h, _quadpack_segments,
-                                dirac_propagator_scalarized, find_poles,
-                                kg_propagator, loop_integral)
+                                find_poles, kg_propagator, loop_integral)
 from levyqm.spectrum import (CutoffPolynomial, MassTriple, fit_masses,
                              g_prime, masses_from_lambdas)
 
-ZERO = CutoffPolynomial.zero()
+ZERO = CutoffPolynomial(0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,36 +64,6 @@ def test_scan_points_finite_away_from_poles(table3):
     assert values.shape == (257,)
     assert np.all(np.isfinite(values))
     assert p2[0] == 0.0 and values[0] == kg_propagator(0.0, m, c, eps)
-
-
-def test_dirac_free_values():
-    d = dirac_propagator_scalarized(0.0, 1.0, ZERO, 1e-12)
-    assert d.vector_coeff == pytest.approx(-1.0, abs=1e-9)
-    assert d.scalar_coeff == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_dirac_ratio_is_local_mass():
-    # free theory: scalar/vector = m everywhere
-    m = 1.7
-    for p2 in (-2.0, 0.0, 1.0, 5.0):
-        d = dirac_propagator_scalarized(p2, m, ZERO, 1e-9)
-        assert d.scalar_coeff / d.vector_coeff == pytest.approx(m, rel=1e-12)
-
-
-def test_dirac_on_pole_ratio_is_branch_mass(table3):
-    sol, masses = table3
-    c, m = sol.coefficients, masses.m1
-    for x, branch_mass in zip(sol.roots, sol.masses):
-        d = dirac_propagator_scalarized(m ** 2 * x, m, c, 1e-9 * m ** 2)
-        ratio = d.scalar_coeff / d.vector_coeff
-        assert ratio.real == pytest.approx(branch_mass, rel=1e-9)
-
-
-def test_dirac_imaginary_local_mass_reported():
-    # 1 + f < 0 at negative p^2 for a linear cutoff: reported, not rejected
-    c = CutoffPolynomial(3.0, 0.0, 0.0)
-    d = dirac_propagator_scalarized(-1.0, 1.0, c, 1e-9)
-    assert abs(d.scalar_coeff.imag) > 0
 
 
 def test_find_poles_free_theory():
@@ -354,8 +323,8 @@ def test_loop_takes_momenta_up_to_a_finite_square(table3):
 
 
 def test_quadpack_takes_cutoffs_while_its_integrand_is_right(table3):
-    # the unmodified-mass integrand is m k^3 / ((k^2 + m^2) k^2) ~ m/k; above
-    # QUADPACK_K_MAX its denominator overflowed and it read 0
+    # the unmodified-mass integrand is m k / (k^2 + m^2) ~ m/k above pE, and
+    # cutoffs above QUADPACK_K_MAX are refused
     spectrum = table3[0]
     m = spectrum.base_mass
     result = loop_integral(1.0, spectrum, [1e76, QUADPACK_K_MAX],
@@ -368,6 +337,16 @@ def test_quadpack_takes_cutoffs_while_its_integrand_is_right(table3):
     # the modified-mass integrand, ~k^6 / k^8, is inf / inf above ~1e51
     with pytest.raises(ValueError, match="integrand overflows on"):
         loop_integral(1.0, spectrum, [1e40, 1e70], variants=("modified-mass",))
+
+
+def test_modified_mass_tail_is_right_where_denominator_times_k2_overflows(table3):
+    # above pE the integrand is k N / D: as k^3 N / (D k^2) it read 0 from
+    # k ~ 2.2e38, where D k^2 passes the largest double, and the increment
+    # was 0 with exit 0; the 1/k tail scales octave increments by 1/k
+    v = "modified-mass"
+    low, high = (loop_integral(1.0, table3[0], cutoffs, variants=(v,)).increments[v][0]
+                 for cutoffs in ([1e36, 2e36], [1e40, 2e40]))
+    assert high / low == pytest.approx(1e-4, rel=1e-6)
 
 
 @pytest.mark.parametrize("variant, largest", [("unmodified-mass", 6.704e150),
@@ -396,6 +375,18 @@ def test_closed_form_out_of_range_names_its_own_limit(table3):
                        r"\(QUADPACK cannot stand in: cutoff 1e\+150"):
         loop_integral(1e150, table3[0], [1e100, 1e150],
                       variants=("unmodified-scalar", "modified-scalar"))
+
+
+def test_non_finite_closed_form_segment_is_not_resolved(table3):
+    # pE^2 = 1e-310 is subnormal, and the first segment's ratio of K ends,
+    # 177^2/pE^2, overflows: unmodified-scalar read inf, with an inf rounding
+    # bound that passed as resolved, so the run wrote inf with exit 0
+    cutoffs = [177.0, 354.0]
+    got = loop_integral(1e-155, table3[0], cutoffs, variants=SCALAR)
+    assert got.method == {v: "QUADPACK" for v in SCALAR}
+    want = loop_integral(1e-150, table3[0], cutoffs, variants=SCALAR)
+    for v in SCALAR:
+        np.testing.assert_allclose(got.values[v], want.values[v], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

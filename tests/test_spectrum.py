@@ -28,7 +28,7 @@ def test_f_eval_basics():
 
 
 def test_g_eval_basics():
-    assert g_eval(1.0, CutoffPolynomial.zero()) == 1.0
+    assert g_eval(1.0, CutoffPolynomial(0.0, 0.0, 0.0)) == 1.0
     assert g_eval(1.0, TRIPLE) == 1.0
 
 
@@ -78,7 +78,7 @@ def test_lambdas_from_roots_domain():
 # ---------------------------------------------------------------------------
 
 def test_roots_all_zero_coefficients():
-    sol = masses_from_lambdas(CutoffPolynomial.zero(), 1.0)
+    sol = masses_from_lambdas(CutoffPolynomial(0.0, 0.0, 0.0), 1.0)
     assert sol.roots == (1.0,)
     assert sol.n_complex == 0
 
@@ -303,7 +303,7 @@ def test_explicit_base_mass():
 
 
 def test_masses_from_lambdas_zero_cutoff():
-    sol = masses_from_lambdas(CutoffPolynomial.zero(), 1.0)
+    sol = masses_from_lambdas(CutoffPolynomial(0.0, 0.0, 0.0), 1.0)
     assert sol.roots == (1.0,)
     assert sol.masses == (1.0,)
     assert sol.residues == (1.0,)
@@ -326,7 +326,7 @@ def test_degenerate_flagged_not_raised_in_masses():
 
 
 def test_solution_serialization():
-    sol = masses_from_lambdas(CutoffPolynomial.zero(), 2.0)
+    sol = masses_from_lambdas(CutoffPolynomial(0.0, 0.0, 0.0), 2.0)
     d = sol.to_dict()
     assert d["roots"] == [1.0]
     assert d["masses"] == [2.0]
@@ -351,7 +351,7 @@ def test_sum_rules_hold_on_the_presets(name):
 @pytest.mark.parametrize("solution", [
     masses_from_lambdas(TRIPLE, 1.0),                               # triple root
     masses_from_lambdas(CutoffPolynomial(-0.8, 1.0, -0.2), 1.0),    # complex pair
-    masses_from_lambdas(CutoffPolynomial.zero(), 1.0),              # degree 1
+    masses_from_lambdas(CutoffPolynomial(0.0, 0.0, 0.0), 1.0),              # degree 1
     masses_from_lambdas(CutoffPolynomial(0.0, -0.25, 0.0), 1.0),    # degree 2
 ], ids=["triple", "complex-pair", "linear", "quadratic"])
 def test_sum_rules_are_nan_without_three_simple_roots(solution):
