@@ -8,7 +8,11 @@ are every parsed argument plus the values resolved from them (a preset's
 mass and coefficients, the density grid, the loop cutoffs), so a new
 flag is recorded without further code.  Numbers in CSV carry 17
 significant digits so files diff exactly at double precision, and
-tables are written CSV_BLOCK rows at a time.
+tables are written CSV_BLOCK values at a time.  One numpy kernel,
+``csvformat.format_rows``, writes the bytes of ``"%.17g" % v`` from
+Dekker's exact product of |v| with a double-double power of ten; the few
+values it cannot certify (nan, inf, near ties) are formatted one by one
+with ``%``.
 Commands with a cutoff source (--preset, --lambdas with --mass, or
 --masses) solve its spectrum once, in ``_cutoff_from_args``, and pass
 that one ``SpectrumSolution`` to the library; its base mass and
@@ -33,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvformat
 from .densities import (GridSpec, default_grid, levy_density_1d,
                         levy_density_3d, moments, transition_density)
 from .evolution import (evolve_modified, evolve_spectral, gaussian_packet,
@@ -54,9 +58,11 @@ EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
-# rows of a CSV formatted and written at once: write_csv's working memory
-# is this many rows of Python floats and text, whatever the table's length
-CSV_BLOCK = 4096
+# values of a CSV formatted and written at once, in whole rows (at least
+# one): write_csv's working memory is a few hundred bytes per value of this
+# many, whatever the table's length.  Of 512 to 4096, 1024 formatted the
+# README tables fastest: larger blocks' temporaries come from fresh pages.
+CSV_BLOCK = 1024
 
 # namespace entries that route the run rather than parameterize it
 _NOT_PARAMETERS = ("func", "output", "command", "spectrum_command")
@@ -67,13 +73,13 @@ _NOT_PARAMETERS = ("func", "output", "command", "spectrum_command")
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the strings of ``chunks`` into a temp file beside ``path``,
+    """Write the bytes of ``chunks`` into a temp file beside ``path``,
     then rename it over ``path``: a failure at any chunk leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -85,33 +91,39 @@ def _atomic_write(path: Path, chunks) -> None:
 def write_csv(path: Path, header, columns) -> None:
     """Header line, then one line per row of ``%.17g`` values.
 
-    The rows are formatted and written CSV_BLOCK at a time, each block
-    one ``%`` call on a repeated row template over the columns' slices,
-    so the working memory beyond the columns is a block's, whatever the
-    table's length.  The bytes are those of formatting each value on its
-    own, since ``"%.17g" % v`` is ``format(float(v), ".17g")``,
-    nan/inf/-0 included.  Columns of unequal length raise ValueError
-    before any file is made.
+    ``csvformat.format_rows`` formats the rows about CSV_BLOCK values at
+    a time, and each block is written before the next is made, so the
+    working memory beyond the columns is a block's, whatever the table's
+    length.  The bytes are those of ``"%.17g" % float(v)`` for each value,
+    nan/inf/-0 included: the numpy kernel writes every value it can
+    certify and ``%`` the others.  Columns of unequal length, or not of
+    real numbers (complex, text, objects), raise before any file is made.
     """
     columns = [np.asarray(col) for col in columns]
     lengths = {len(col) for col in columns}
     if len(lengths) != 1:
         raise ValueError(f"columns must share one length, got {sorted(lengths)}")
+    kinds = sorted({col.dtype.kind for col in columns} - set("biuf"))
+    if kinds:
+        raise TypeError(f"CSV columns must hold real numbers, got dtype "
+                        f"kinds {kinds}")
     (n_rows,) = lengths
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = max(1, CSV_BLOCK // len(columns))
 
     def chunks():
-        yield ",".join(header) + "\n"
-        for start in range(0, n_rows, CSV_BLOCK):
-            block = np.column_stack([col[start:start + CSV_BLOCK]
+        yield (",".join(header) + "\n").encode()
+        for start in range(0, n_rows, rows):
+            block = np.column_stack([col[start:start + rows]
                                      for col in columns])
-            yield row * len(block) % tuple(block.ravel().tolist())
+            yield csvformat.format_rows(block.astype(np.float64,
+                                                     copy=False))
 
     _atomic_write(path, chunks())
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True)
+                          + "\n").encode()])
 
 
 def _subcommand(args) -> str:

@@ -69,8 +69,7 @@ RESIDUE_TOL = 1e-6
 LOOP_RTOL = 1e-10
 # the largest pE and cutoff whose square is a finite double
 LOOP_K_MAX = math.sqrt(sys.float_info.max)
-# the largest cutoff QUADPACK takes: k^3, which its integrand forms below
-# pE, stays finite
+# the largest cutoff QUADPACK takes: its cube is a finite double
 QUADPACK_K_MAX = math.sqrt(LOOP_K_MAX)
 
 
@@ -202,17 +201,18 @@ def _loop_integrand(k, pE, m, c, modified, mass_type):
     f_e = f_eval(-(k / m) ** 2, c) if modified else 0.0
     denom = k ** 2 + m ** 2 * (1.0 + f_e)
     numer = m * math.sqrt(1.0 + f_e) if mass_type else 1.0
-    # above pE, k^3 / k^2 is k: denom k^2 would overflow first
-    return k * numer / denom if k > pE else k ** 3 * numer / (denom * pE ** 2)
+    # above pE, k^3 / k^2 is k: denom k^2 would overflow first; below it,
+    # k^3 / pE^2 is k (k/pE)^2: denom pE^2 would underflow to 0 first
+    return k * numer / denom * (1.0 if k > pE else (k / pE) ** 2)
 
 
 def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
     """QUADPACK's integral of each [edges_j, edges_j+1] and its error estimate.
 
     Above the top cutoff pE sets the integrand's denominator
-    D(k^2) pE^2, D(K) = K + m^2 (1 + f(-K/m^2)); where that passes the
-    largest double the integrand reads 0, so such a pE raises ValueError
-    naming the largest pE these cutoffs accept.
+    D(k^2) pE^2, D(K) = K + m^2 (1 + f(-K/m^2)); a pE at which that
+    product would pass the largest double raises ValueError naming the
+    largest pE these cutoffs accept.
     """
     top = float(edges[-1])
     if top > QUADPACK_K_MAX:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import levyqm
-from levyqm import cli
+from levyqm import cli, csvformat
 from levyqm.cli import build_parser, main, write_csv
 from levyqm.densities import GridSpec
 from levyqm.evolution import gaussian_packet
@@ -422,6 +422,25 @@ def test_closed_form_overflow_fails_with_one_line(tmp_path, capfd):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("pe", ["1e-161", "5e-324"])
+def test_loop_at_a_tiny_pe_is_its_zero_momentum_limit(tmp_path, pe):
+    # D pE^2 underflowed to 0 in QUADPACK's integrand below pE: exit 1 with
+    # a ZeroDivisionError; (k/pE)^2 k/D is that integrand and cannot
+    result = {}
+    for value in (pe, "1e-100"):
+        out = tmp_path / f"loop_{value}.csv"
+        assert main(["loop", "--preset", "table3", "--variant", "scalar",
+                     "--pe", value, "-o", str(out)]) == 0
+        result[value] = read_csv_columns(out)
+    diagnostics = load_json(tmp_path / f"loop_{pe}.csv.meta.json")["diagnostics"]
+    for variant in ("unmodified-scalar", "modified-scalar"):
+        column = variant.replace("-", "_")
+        # at pE = 1e-100 the closed form is the pE -> 0 limit to 1e-190
+        np.testing.assert_allclose(result[pe][column],
+                                   result["1e-100"][column], rtol=1e-10)
+        assert diagnostics["abserr"][variant] < 1e-9 * result[pe][column][-1]
+
+
 def test_density_at_a_huge_dt(tmp_path):
     out = tmp_path / "density.csv"
     assert main(["density", "--mass", "1", "--dt", "1e300", "-o", str(out)]) == 0
@@ -694,8 +713,33 @@ def tiled_edge_values(n_rows):
     return [values, np.arange(n_rows) * 7 - 40, values[::-1]]
 
 
-BLOCK_ROWS = {"block-1": cli.CSV_BLOCK - 1, "block": cli.CSV_BLOCK,
-              "block+1": cli.CSV_BLOCK + 1, "2block+3": 2 * cli.CSV_BLOCK + 3}
+def edge_columns():
+    """Doubles where %.17g's digits or layout change, with neighbours, and
+    64-bit integers that no double holds."""
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])     # %g's notation turns
+    centres = np.concatenate([powers, switches])
+    centres = np.concatenate([centres, np.nextafter(centres, 0.0),
+                              np.nextafter(centres, np.inf)])
+    # 18 significant digits ending in 5: a tie at 17, rounded half even
+    m = np.random.default_rng(7).integers(10 ** 15, 2 ** 52, 64).astype(float)
+    ties = np.concatenate([[126827847111869.875], m + 0.25, m + 0.75])
+    subnormals = np.concatenate([[5e-324, 1e-323, 2.2250738585072009e-308],
+                                 np.random.default_rng(8).random(16) * 1e-310])
+    special = [0.0, np.inf, np.nan, -np.nan, np.copysign(np.nan, -1.0),
+               sys.float_info.max, sys.float_info.min]
+    values = np.concatenate([centres, ties, subnormals, special])
+    values = np.concatenate([values, -values])
+    int64 = [2 ** 53 + 1, 2 ** 62 + 3, -(2 ** 63), 2 ** 63 - 1]
+    uint64 = np.array([2 ** 64 - 1, 2 ** 63 + 2049], np.uint64)
+    return [values, np.resize(int64, len(values)),
+            np.resize(uint64, len(values))]
+
+
+# rows of one block of the three tiled_edge_values columns
+BLOCK = cli.CSV_BLOCK // 3
+BLOCK_ROWS = {"block-1": BLOCK - 1, "block": BLOCK, "block+1": BLOCK + 1,
+              "2block+3": 2 * BLOCK + 3}
 
 
 @pytest.mark.parametrize("columns", [
@@ -706,7 +750,8 @@ BLOCK_ROWS = {"block-1": cli.CSV_BLOCK - 1, "block": cli.CSV_BLOCK,
     [np.array([0, -3, 2 ** 40, 2 ** 60 + 1, -(2 ** 62)])],
     [np.array([], dtype=float), np.array([], dtype=float)],
     *[tiled_edge_values(n) for n in BLOCK_ROWS.values()],
-], ids=["one-column", "four-columns", "ints", "empty", *BLOCK_ROWS])
+    edge_columns(),
+], ids=["one-column", "four-columns", "ints", "empty", *BLOCK_ROWS, "edges"])
 def test_write_csv_matches_per_value_format(tmp_path, columns):
     header = [f"c{i}" for i in range(len(columns))]
     write_csv(tmp_path / "new.csv", header, columns)
@@ -750,6 +795,89 @@ def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_write_csv_failing_after_a_written_block_leaves_no_file(tmp_path,
+                                                              monkeypatch):
+    # the first block is in the temp file when the kernel fails on the next
+    real, blocks = csvformat.format_rows, []
+
+    def fail_on_the_second(block):
+        blocks.append(block)
+        if len(blocks) == 2:
+            raise RuntimeError("second block")
+        return real(block)
+
+    monkeypatch.setattr(csvformat, "format_rows", fail_on_the_second)
+    with pytest.raises(RuntimeError, match="second block"):
+        write_csv(tmp_path / "t.csv", ["a"], [np.zeros(2 * cli.CSV_BLOCK)])
+    assert len(blocks) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_rejects_a_complex_column(tmp_path):
+    # a float64 cast would drop the imaginary part without a word
+    with pytest.raises(TypeError, match="real numbers"):
+        write_csv(tmp_path / "t.csv", ["x", "z"],
+                  [np.zeros(3), np.full(3, 1.0 + 2.0j)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def percent_csv(header, columns):
+    """The CSV of ``columns`` by one ``%`` call on a repeated row template:
+    the bytes of formatting each value alone with ``"%.17g"``."""
+    block = np.column_stack(columns).astype(float)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = row * len(block) % tuple(block.ravel().tolist())
+    return (",".join(header) + "\n" + body).encode()
+
+
+def test_write_csv_matches_percent_format_on_random_doubles(tmp_path):
+    # 2^20 seeded bit patterns: every sign and exponent, subnormals, nan
+    # payloads and infinities among them; 16 tables keep the files small
+    bits = np.random.default_rng(20240601).integers(
+        0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+    header = ["a", "b", "c", "d"]
+    for table in bits.view(np.float64).reshape(16, -1, 4):
+        columns = list(table.T)
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == percent_csv(header, columns)
+
+
+# every README command that writes a CSV, the evolve snapshots and a
+# _paths.csv of several blocks
+CSV_COMMANDS = [argv for argv in readme_commands()
+                if argv[0] not in ("reproduce-tables", "spectrum")] + [
+    ["evolve", "--mass", "1", "--dt", "0.05", "--steps", "200",
+     "--snapshot-every", "100"],
+    ["simulate", "--mass", "1", "--paths", "20000", "--steps", "10",
+     "--full-paths", "500", "--seed", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=" ".join)
+def test_cli_csv_bytes_match_the_reference_writer(tmp_path, monkeypatch, argv):
+    real, tables = cli.write_csv, []
+
+    def capture(path, header, columns):
+        tables.append((Path(path), list(header),
+                       [np.array(col) for col in columns]))
+        real(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_csv", capture)
+    assert main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+    names = [path.name for path, _, _ in tables]
+    if "--snapshot-every" in argv:
+        assert names[:3] == [f"out_psi_{step:05d}.csv"
+                             for step in (0, 100, 200)]
+    if "--full-paths" in argv:
+        assert names[0] == "out_paths.csv"
+        assert len(tables[0][2][0]) * 3 > 4 * cli.CSV_BLOCK
+    assert names[-1] == "out.csv"
+    for path, header, columns in tables:
+        reference_write_csv(tmp_path / "ref.csv", header, columns)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), \
+            path.name
 
 
 # ---------------------------------------------------------------------------
