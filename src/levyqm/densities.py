@@ -109,8 +109,7 @@ def _finalize_density(grid: GridSpec, raw: np.ndarray) -> DensityTable:
         raise GridError(f"density normalization {norm!r} deviates from 1 by more "
                         "than 1e-6; widen the grid")
 
-    j = np.arange(1, grid.n)
-    asym = np.abs(values[j] - values[grid.n - j])
+    asym = np.abs(values[1:] - values[:0:-1])  # p(x_j) against p(x_{n-j})
     if asym.max() > 1e-9 * values.max():
         raise GridError("density is asymmetric beyond 1e-9 of its peak")
 
@@ -177,8 +176,8 @@ def transition_density(dt: float, params: ExponentParams, eta,
 
     u = grid.u_fft()
     phi = np.exp((dt / params.tau) * np.asarray(eta(u), dtype=float))
-    alt = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
-    raw = np.fft.fft(phi * alt) / (grid.n * grid.dx)
+    phi[1::2] *= -1.0  # (-1)^k centres the table's origin
+    raw = np.fft.fft(phi) / (grid.n * grid.dx)
     return _finalize_density(grid, raw)
 
 

@@ -10,14 +10,19 @@ are eigenfunctions with kinetic energy E0 = -eta(u)/tau; the rest-mass
 phase is absorbed throughout, so all reported energies are kinetic.
 The multiplier is fixed by (grid, dt, eta, tau), so it is built once and
 kept in a small cache: a run of equal steps evaluates eta and exp once.
-eta must therefore be a pure function of u.  A wave function's values
-are read-only, so its transform psi_hat is computed once, on first use,
-and shared by ``observables`` and the step: a run that records the
-observables and then steps each packet does one forward and one inverse
-transform per step.  Transforms use ``numpy.fft``, as ``densities`` and
-the jump kernel do.  A branch of a cutoff spectrum evolves the same way
-at its branch mass, which ``evolve_modified`` reads from the given
-``SpectrumSolution`` without solving the spectrum again.
+eta must therefore be a pure function of u.  The step is diagonal in
+momentum space, so it stays there: the stepped wave function keeps
+multiplier * psi_hat as its transform, and its values are the one
+inverse transform of that product.  A run of spectral steps does one
+forward transform, of the initial packet, and one inverse transform per
+step; position space is read only for the observables.  A wave
+function's values are read-only, so its transform and its density
+|psi|^2 are computed at most once and shared by the norm gate,
+``observables`` and the next step.  Transforms use ``numpy.fft``, as
+``densities`` and the jump kernel do.  A branch of a cutoff spectrum
+evolves the same way at its branch mass, which ``evolve_modified``
+reads from the given ``SpectrumSolution`` without solving the spectrum
+again.
 
 For the pure-jump relativistic process the same generator has the
 integro-differential form
@@ -62,20 +67,29 @@ class WaveFunction:
     thousands of steps); the explicit jump step carries its documented
     O(dt^2) drift, so the construction gate here is 1e-7, and a NaN
     norm fails it.  ``values`` must be read-only, since ``transform``
-    is computed once and kept; ``from_samples`` makes such a copy.
+    and ``density`` are computed once and kept; ``from_samples`` and
+    ``from_transform`` make such a copy.
     """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        norm = float(np.sum(np.abs(self.values) ** 2) * self.grid.dx)
+        norm = float(self.density.sum() * self.grid.dx)
         if not abs(norm - 1.0) <= 1e-7:
             raise ValueError(f"wave function norm {norm!r} deviates from 1 "
                              "beyond 1e-7")
         if np.asarray(self.values).flags.writeable:
             raise ValueError("wave function values must be read-only; build "
                              "one with WaveFunction.from_samples")
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """|psi|^2 = re^2 + im^2 of the values, read-only."""
+        values = np.asarray(self.values)
+        density = values.real ** 2 + values.imag ** 2
+        density.setflags(write=False)
+        return density
 
     @cached_property
     def transform(self) -> np.ndarray:
@@ -95,6 +109,22 @@ class WaveFunction:
         values = values.copy()
         values.setflags(write=False)
         return cls(grid=grid, values=values)
+
+    @classmethod
+    def from_transform(cls, grid: GridSpec, transform):
+        """The wave function whose psi_hat is a copy of ``transform``.
+
+        The copy is kept as the read-only ``transform``, so a chain of
+        momentum-space steps transforms forward only once; the values
+        are its inverse transform.
+        """
+        transform = np.array(transform, dtype=complex)
+        transform.setflags(write=False)
+        values = np.fft.ifft(transform)
+        values.setflags(write=False)
+        psi = cls(grid=grid, values=values)
+        psi.__dict__["transform"] = transform  # the cached_property's slot
+        return psi
 
 
 @dataclass(frozen=True)
@@ -151,15 +181,15 @@ def _axes(grid: GridSpec):
 
 
 def observables(psi: WaveFunction) -> Observables:
-    dx = psi.grid.dx
     x, u = _axes(psi.grid)
-    density = np.abs(psi.values) ** 2
-    norm = float(density.sum() * dx)
-    prob = density / density.sum()
-    centroid = float(np.sum(x * prob))
-    variance = float(np.sum((x - centroid) ** 2 * prob))
-    spectral = np.abs(psi.transform) ** 2
-    momentum = float(np.sum(u * spectral) / spectral.sum())
+    density = psi.density
+    total = density.sum()
+    norm = float(total * psi.grid.dx)
+    centroid = float(x @ density / total)
+    variance = float((x - centroid) ** 2 @ density / total)
+    hat = psi.transform
+    spectral = hat.real ** 2 + hat.imag ** 2
+    momentum = float(u @ spectral / spectral.sum())
     return Observables(norm=norm, centroid=centroid, variance=variance,
                        momentum_centroid=momentum)
 
@@ -190,11 +220,12 @@ def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFuncti
     """Exact free step: multiply psi_hat by exp(i dt eta(u) / tau).
 
     The multiplier comes from a cache keyed on (grid, dt, eta, tau), and
-    psi_hat from ``psi.transform``.
+    psi_hat from ``psi.transform``.  The product is the new wave
+    function's transform, so the step does one inverse FFT and the next
+    step none forward: after k steps psi_hat is the k-fold product.
     """
     multiplier = _spectral_multiplier(psi.grid, dt, eta, tau)
-    values = np.fft.ifft(multiplier * psi.transform)
-    return WaveFunction.from_samples(psi.grid, values, normalize=False)
+    return WaveFunction.from_transform(psi.grid, multiplier * psi.transform)
 
 
 def evolve_modified(psi: WaveFunction, dt: float, spectrum: SpectrumSolution,

@@ -188,10 +188,10 @@ class LogCharacteristic:
 def eta_relativistic(u, params: ExponentParams):
     """1 - sqrt(1 + a^2 u^2), evaluated without small-u cancellation."""
     t = np.abs(params.a * np.asarray(u, dtype=float))
+    root = np.hypot(1.0, t)
     with np.errstate(over="ignore"):
-        small = -(t * t) / (1.0 + np.hypot(1.0, t))
-    large = 1.0 - np.hypot(1.0, t)
-    out = np.where(t < 1.0, small, large)
+        small = -(t * t) / (1.0 + root)
+    out = np.where(t < 1.0, small, 1.0 - root)
     return float(out) if np.ndim(u) == 0 else out
 
 

@@ -301,8 +301,10 @@ def ks_validate(samples, reference: DensityTable) -> KSReport:
                         "test resolution")
     srt = np.sort(samples)
     f_ref = np.interp(srt, x, cdf)
-    i = np.arange(1, n + 1)
-    d = float(np.max(np.maximum(np.abs(i / n - f_ref),
-                                np.abs((i - 1) / n - f_ref))))
+    # the empirical CDF steps from (k-1)/n to k/n at the k-th sample, and
+    # k/n - f >= (k-1)/n - f, so max(|k/n - f|, |(k-1)/n - f|) is the
+    # larger of k/n - f and f - (k-1)/n
+    i = np.arange(n + 1) / n
+    d = float(max(np.max(i[1:] - f_ref), np.max(f_ref - i[:-1])))
     threshold = KS_ALPHA_001_COEFF / math.sqrt(n)
     return KSReport(n=n, d=d, threshold=threshold, passed=d < threshold)

@@ -655,43 +655,64 @@ def test_evolve_transforms_once_per_step(tmp_path, monkeypatch, argv):
     argv = [*argv]
     argv[argv.index("--steps") + 1] = "50"
     assert main(argv + ["-o", str(tmp_path / "e.csv")]) == 0
-    assert counts == {"fft": 51, "ifft": 50}
+    assert counts == {"fft": 1, "ifft": 50}
 
 
-def reference_evolve(path, mass, dt, steps, sigma=1.0, p0=0.0):
-    """The README evolve loop, transforming each packet twice per step
-    (once for the momentum centroid, once for the step) as it used to."""
+def reference_evolve_rows(argv, direct=False):
+    """The README evolve loop written out: psi_hat is transformed once and
+    multiplied by the step's phase, |psi|^2 is re^2 + im^2.  With direct,
+    psi_hat_k = exp(i k dt eta / tau) psi_hat_0, with no accumulation."""
+    if "--branch" in argv:
+        mass = fit_masses(MassTriple.from_values([1.0, 2.0, 3.0])).masses[1]
+        sigma, p0 = 1.0, 0.0
+    else:
+        mass, sigma, p0 = 1.0, 2.0, 1.0
+    dt, steps = 0.05, 200
     grid = GridSpec(n=2 ** 12, dx=0.05)
     x, u = grid.x_centers(), grid.u_fft()
     params = ExponentParams.from_mass(mass)
-    multiplier = np.exp(1j * (dt / params.tau) * eta_relativistic(u, params))
+    phase = (dt / params.tau) * eta_relativistic(u, params)
+    multiplier = np.exp(1j * phase)
     psi = gaussian_packet(0.0, p0, sigma, grid).values
+    hat0 = hat = np.fft.fft(psi)
     rows = []
     for step in range(steps + 1):
-        density = np.abs(psi) ** 2
-        prob = density / density.sum()
-        centroid = float(np.sum(x * prob))
-        spectral = np.abs(np.fft.fft(psi)) ** 2
-        rows.append((step * dt, float(density.sum() * grid.dx), centroid,
-                     float(np.sum((x - centroid) ** 2 * prob)),
-                     float(np.sum(u * spectral) / spectral.sum())))
-        if step < steps:
-            psi = np.fft.ifft(multiplier * np.fft.fft(psi))
-    reference_write_csv(path, ["t", "norm", "centroid", "variance",
-                               "momentum_centroid"], list(zip(*rows)))
+        density = psi.real ** 2 + psi.imag ** 2
+        total = density.sum()
+        centroid = float(x @ density / total)
+        spectral = hat.real ** 2 + hat.imag ** 2
+        rows.append((step * dt, float(total * grid.dx), centroid,
+                     float((x - centroid) ** 2 @ density / total),
+                     float(u @ spectral / spectral.sum())))
+        hat = np.exp(1j * (step + 1) * phase) * hat0 if direct \
+            else multiplier * hat
+        psi = np.fft.ifft(hat)
+    return rows
+
+
+EVOLVE_HEADER = ["t", "norm", "centroid", "variance", "momentum_centroid"]
 
 
 @pytest.mark.parametrize("argv", README_EVOLVE, ids=" ".join)
 def test_readme_evolve_bytes_match_the_reference_loop(tmp_path, argv):
     assert argv in readme_commands()
     assert main(argv + ["-o", str(tmp_path / "cli.csv")]) == 0
-    if "--branch" in argv:
-        spectrum = fit_masses(MassTriple.from_values([1.0, 2.0, 3.0]))
-        reference_evolve(tmp_path / "ref.csv", spectrum.masses[1], 0.05, 200)
-    else:
-        reference_evolve(tmp_path / "ref.csv", 1.0, 0.05, 200, sigma=2.0, p0=1.0)
+    reference_write_csv(tmp_path / "ref.csv", EVOLVE_HEADER,
+                        list(zip(*reference_evolve_rows(argv))))
     assert (tmp_path / "cli.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", README_EVOLVE, ids=" ".join)
+def test_readme_evolve_matches_the_direct_phase(tmp_path, argv):
+    # the product of 200 multipliers against one exp of 200 dt eta / tau:
+    # the chain's accumulated rounding stays near 1e-14 on every column
+    assert main(argv + ["-o", str(tmp_path / "cli.csv")]) == 0
+    got = np.loadtxt(tmp_path / "cli.csv", delimiter=",", skiprows=1)
+    want = np.array(reference_evolve_rows(argv, direct=True))
+    assert got.shape == want.shape == (201, len(EVOLVE_HEADER))
+    err = np.max(np.abs(got - want), axis=0)
+    assert np.all(err <= 1e-13), dict(zip(EVOLVE_HEADER, err))
 
 
 def reference_write_csv(path, header, columns):
@@ -773,8 +794,9 @@ def test_write_csv_rejects_unequal_columns_before_any_file(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_csv_failing_in_a_later_block_leaves_no_file(tmp_path):
-    # the first block is in the temp file when the second one's str fails
+def test_write_csv_refuses_an_object_column_before_any_file(tmp_path):
+    # numbers for a whole block, then text: the dtype check refuses the
+    # object column before a temp file is made or a block is formatted
     text = np.array([0.5] * cli.CSV_BLOCK + ["x"], dtype=object)
     with pytest.raises(TypeError):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(len(text)), text])

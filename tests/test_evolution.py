@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,42 @@ def test_writable_values_cannot_leave_a_stale_transform():
     assert psi.transform is psi.transform
     np.testing.assert_array_equal(psi.transform, before)
     np.testing.assert_array_equal(psi.transform, np.fft.fft(psi.values))
+
+
+def test_from_transform_copies_the_callers_array():
+    grid = packet_grid()
+    hat = np.fft.fft(gaussian_packet(0.0, 1.0, 1.0, grid).values)
+    kept = hat.copy()
+    psi = WaveFunction.from_transform(grid, hat)
+    assert hat.flags.writeable
+    assert not np.shares_memory(psi.transform, hat)
+    hat *= 2.0
+    assert psi.transform.tobytes() == kept.tobytes()
+    assert not psi.transform.flags.writeable
+    assert not psi.values.flags.writeable
+    assert psi.values.tobytes() == np.fft.ifft(kept).tobytes()
+
+
+@pytest.mark.parametrize("scale, shown", [(1.001, "1.002"), (math.nan, "nan")])
+def test_from_transform_keeps_the_norm_gate(scale, shown):
+    grid = packet_grid()
+    hat = np.fft.fft(gaussian_packet(0.0, 1.0, 1.0, grid).values) * scale
+    with pytest.raises(ValueError, match=f"norm {shown}.* deviates from 1 "
+                                         "beyond 1e-7"):
+        WaveFunction.from_transform(grid, hat)
+
+
+def test_density_is_the_squared_modulus_within_one_ulp():
+    # against |psi|^2 in exact arithmetic: np.abs(values) ** 2 rounds the
+    # modulus before squaring it and is up to 4 ulp off on this packet
+    psi = gaussian_packet(0.3, 2.0, 1.0, packet_grid())
+    for _ in range(3):
+        psi = evolve_spectral(psi, 0.05, ETA, UNIT.tau)
+    want = np.array([float(Fraction(v.real) ** 2 + Fraction(v.imag) ** 2)
+                     for v in psi.values])
+    assert psi.density is psi.density
+    assert not psi.density.flags.writeable
+    assert np.all(np.abs(psi.density - want) <= np.spacing(want))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +324,13 @@ def test_branch_index_errors(three_branch_solution):
 # the cached spectral multiplier
 # ---------------------------------------------------------------------------
 
+def uncached_multiplier(grid, dt, eta, tau):
+    return np.exp(1j * (dt / tau) * np.asarray(eta(grid.u_fft()), dtype=float))
+
+
 def uncached_step(values, grid, dt, eta, tau):
-    u = grid.u_fft()
-    multiplier = np.exp(1j * (dt / tau) * np.asarray(eta(u), dtype=float))
-    return np.fft.ifft(multiplier * np.fft.fft(values))
+    return np.fft.ifft(uncached_multiplier(grid, dt, eta, tau)
+                       * np.fft.fft(values))
 
 
 def counting(eta):
@@ -323,11 +363,14 @@ def test_branch_steps_evaluate_eta_once(monkeypatch, three_branch_solution):
 def test_cached_steps_match_uncached_reference_bytes():
     grid = packet_grid()
     psi = gaussian_packet(0.0, 1.0, 1.0, grid)
-    want = psi.values
+    # the uncached chain also stays in momentum space: one forward
+    # transform, then psi_hat_k = multiplier psi_hat_{k-1}
+    hat = np.fft.fft(psi.values)
     for _ in range(50):
         psi = evolve_spectral(psi, 0.05, ETA, UNIT.tau)
-        want = uncached_step(want, grid, 0.05, ETA, UNIT.tau)
-    assert psi.values.tobytes() == want.tobytes()
+        hat = uncached_multiplier(grid, 0.05, ETA, UNIT.tau) * hat
+    assert psi.transform.tobytes() == hat.tobytes()
+    assert psi.values.tobytes() == np.fft.ifft(hat).tobytes()
 
 
 def test_multiplier_cache_keys_on_dt_grid_and_branch(three_branch_solution):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
 
-from levyqm import ExponentParams, LogCharacteristic, eta_relativistic, sampler
+from levyqm import (ExponentParams, LogCharacteristic, densities,
+                    eta_relativistic, sampler)
 from levyqm.densities import GridError, GridSpec, default_grid, transition_density
 from levyqm.sampler import (TILE, KSReport, PathSample, SeededGenerator,
                             ks_validate, sample_endpoints, sample_increment,
@@ -378,6 +379,61 @@ def test_ks_range_guard(reference_table):
     samples = np.concatenate([np.full(2000, 0.1), [1e6]])
     with pytest.raises(GridError):
         ks_validate(samples, reference_table)
+
+
+def old_eta_relativistic(u, params):
+    t = np.abs(params.a * np.asarray(u, dtype=float))
+    with np.errstate(over="ignore"):
+        small = -(t * t) / (1.0 + np.hypot(1.0, t))
+    large = 1.0 - np.hypot(1.0, t)
+    return np.where(t < 1.0, small, large)
+
+
+@pytest.mark.parametrize("t", [1.3, 0.13, 0.7])
+def test_density_and_ks_trims_keep_the_old_bytes(t):
+    # the formulas these replaced, written out: eta took hypot twice, the
+    # table's signs alternated through an np.where array, the symmetry gate
+    # gathered values[j] and values[n - j], and D was the largest of
+    # |i/n - f| and |(i - 1)/n - f|
+    eta = LogCharacteristic.relativistic(UNIT)
+    grid = default_grid(UNIT, t)
+    u = np.linspace(-grid.u_max, grid.u_max, 10001)
+    assert eta_relativistic(u, UNIT).tobytes() == \
+        old_eta_relativistic(u, UNIT).tobytes()
+
+    phi = np.exp((t / UNIT.tau) * old_eta_relativistic(grid.u_fft(), UNIT))
+    alt = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
+    raw = np.fft.fft(phi * alt) / (grid.n * grid.dx)
+    values = raw.real.copy()
+    negative = values < 0.0
+    clipped_mass = float(-values[negative].sum() * grid.dx) \
+        if negative.any() else 0.0
+    values[negative] = 0.0
+    table = transition_density(t, UNIT, eta, grid)
+    assert table.values.tobytes() == values.tobytes()
+    assert table.max_imag == float(np.max(np.abs(raw.imag)))
+    assert table.clipped_mass == clipped_mass
+
+    # one cell off by just under and just over the gate's 1e-9 of the peak
+    j = np.arange(1, grid.n)
+    for factor in (0.999e-9, 1.001e-9):
+        bent = values.copy()
+        bent[grid.n // 2 + 5] += factor * values.max()
+        old_refuses = np.abs(bent[j] - bent[grid.n - j]).max() > \
+            1e-9 * bent.max()
+        assert old_refuses == (factor > 1e-9)
+        if old_refuses:
+            with pytest.raises(GridError, match="asymmetric"):
+                densities._finalize_density(grid, bent)
+        else:
+            densities._finalize_density(grid, bent)
+
+    samples = sample_endpoints(t, UNIT, SeededGenerator(11), 75000)
+    f_ref = np.interp(np.sort(samples), *table.cdf_nodes())
+    i, n = np.arange(1, samples.size + 1), samples.size
+    d = float(np.max(np.maximum(np.abs(i / n - f_ref),
+                                np.abs((i - 1) / n - f_ref))))
+    assert ks_validate(samples, table).d == d
 
 
 def test_ks_report_serialization():
