@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import (ExponentParams, LevyTriplet, LOG_DECAY_CRITERION,
-                        bessel_k, eta_relativistic)
+from .exponents import (ExponentParams, K_SMALLEST_ARG, LevyTriplet,
+                        LOG_DECAY_CRITERION, bessel_k, eta_relativistic)
 
 
 class GridError(ValueError):
@@ -215,7 +215,7 @@ def levy_density_1d(x, params: ExponentParams):
     if (x_arr == 0.0).any():
         raise ValueError("jump kernel is singular at x = 0")
     ax = np.abs(x_arr)
-    out = bessel_k(1, ax / params.a) / (math.pi * ax)
+    out = _jump_kernel(1, ax, params, lambda: math.pi * ax)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -224,8 +224,34 @@ def levy_density_3d(r, params: ExponentParams):
     r_arr = np.asarray(r, dtype=float)
     if (r_arr <= 0.0).any():
         raise ValueError("radial jump kernel requires r > 0")
-    out = bessel_k(2, r_arr / params.a) / (2.0 * params.a * math.pi ** 2 * r_arr ** 2)
+    out = _jump_kernel(2, r_arr, params,
+                       lambda: 2.0 * params.a * math.pi ** 2 * r_arr ** 2)
     return float(out) if np.ndim(r) == 0 else out
+
+
+def _jump_kernel(order: int, r, params: ExponentParams, denominator):
+    """K_order(r/a) / denominator(), or a ValueError naming the radius below
+    which it overflows.
+
+    K1(z) < 1/z and K2(z) < 2/z^2, so W1 < a/(pi r^2) and W3 < a/(pi^2 r^4):
+    the kernel of order n stays finite for r >= (a / (pi^n DBL_MAX))^(1/2n)
+    wherever ``bessel_k`` does.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            out = bessel_k(order, r / params.a) / denominator()
+        except ValueError:
+            if not np.isfinite(r).all():
+                raise
+            out = np.inf  # K_order(r/a) itself overflows
+    if not np.isfinite(out).all():
+        root = 0.5 / order
+        r_min = max((params.a / math.pi ** order) ** root / np.finfo(float).max ** root,
+                    params.a * K_SMALLEST_ARG[order])
+        raise ValueError(f"the {2 * order - 1}D jump kernel overflows below "
+                         f"r = {r_min:.4g} at a = {params.a:.6g}; "
+                         f"use radii >= {1.001 * r_min:.4g}")
+    return out
 
 
 def relativistic_triplet(params: ExponentParams) -> LevyTriplet:

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from levyqm import bessel_k
+from levyqm.exponents import K_SMALLEST_ARG
 
 
 def cosh_integral_oracle(order, z):
@@ -42,14 +43,33 @@ def test_small_argument_k1_pole():
     assert bessel_k(1, 1e-6) == pytest.approx(1e6, rel=1e-6)
 
 
-def test_recurrence_identity():
-    # K2 = K0 + (2/z) K1, a genuine cross-check: kn(2, .) is Amos's
-    # zbesk, not a recurrence on the Cephes k0 and k1 used for the
-    # lower orders
-    z = np.logspace(np.log10(0.01), 2.0, 300)
-    lhs = bessel_k(2, z)
-    rhs = bessel_k(0, z) + (2.0 / z) * bessel_k(1, z)
-    assert np.max(np.abs(lhs - rhs) / lhs) < 1e-10
+def test_k2_against_mpmath_up_to_its_underflow():
+    # K2 is the recurrence K0 + (2/z) K1 on Cephes k0 and k1, so the
+    # recurrence cannot check itself; mpmath does, up to z = 705 where K2
+    # leaves the normal doubles.  kn(2, .) read 0 from z ~ 698 on
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    z = np.concatenate([np.geomspace(1e-8, 698.0, 300), np.linspace(698.0, 705.0, 50)])
+    ref = np.array([float(mp.besselk(2, mp.mpf(float(t)))) for t in z])
+    assert (ref >= np.finfo(float).tiny).all()
+    rel = np.abs(bessel_k(2, z) / ref - 1.0)
+    assert rel.max() < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_overflow_names_the_smallest_argument(order):
+    # k1(5e-324) is NaN and k0(5e-324) inf in Cephes; K1 and K2 overflow
+    # below ~1/DBL_MAX and ~sqrt(2/DBL_MAX)
+    smallest = K_SMALLEST_ARG[order]
+    with pytest.raises(ValueError, match=f"K{order}\\(z\\) overflows near z = 0; "
+                       f"use z >= {smallest:.4g}"):
+        bessel_k(order, np.array([1.0, 5e-324]))
+    assert np.isfinite(bessel_k(order, smallest))
+    assert np.isfinite(bessel_k(order, float(f"{smallest:.4g}")))
+    if order:
+        with pytest.raises(ValueError):
+            bessel_k(order, 0.998 * smallest)
 
 
 def test_large_argument_asymptotics():

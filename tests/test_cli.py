@@ -354,6 +354,14 @@ EDGE_INPUTS = [
     # QUADPACK's cutoff bound as the cause
     (["loop", "--preset", "table3", "--pe", "1e150", "--cutoffs", "1e100,1e150"],
      "modified-scalar on [1e+100, 1e+150]: the closed form reads "),
+    # W1 and W3 passed the largest double: inf rows, a numpy RuntimeWarning
+    # and exit 0
+    (["levy-measure", "--mass", "1", "--x-min", "1e-320", "--x-max", "1e-300"],
+     "the 1D jump kernel overflows below r = 4.208e-155 at a = 1; "
+     "use radii >= 4.212e-155"),
+    (["levy-measure", "--mass", "1", "--dim", "3", "--x-min", "1e-80", "--x-max", "1"],
+     "the 3D jump kernel overflows below r = 4.872e-78 at a = 1; "
+     "use radii >= 4.877e-78"),
     (["density", "--mass", "1", "--dt", "0"], "dt must be positive"),
     # a NaN or infinite dt wrote an all-NaN table or raised ZeroDivisionError
     (["density", "--mass", "1", "--dt", "nan", "--dx", "0.05"],
@@ -410,14 +418,21 @@ def test_non_finite_cutoff_fails_before_lapack(tmp_path, capfd):
 
 
 @pytest.mark.filterwarnings("error")
-def test_closed_form_overflow_fails_with_one_line(tmp_path, capfd):
-    # numpy's overflow and invalid-value warnings from the closed form reached
-    # stderr before the message; pytest records warnings, so here they raise
-    assert main(["loop", "--preset", "table3", "--pe", "1e154", "--cutoffs",
-                 "1e100,1.2e154", "-o", str(tmp_path / "l.csv")]) == 2
+@pytest.mark.parametrize("argv, start", [
+    (["loop", "--preset", "table3", "--pe", "1e154", "--cutoffs", "1e100,1.2e154"],
+     "error: unmodified-scalar on [1e+100, 1.2e+154]: the closed form overflows there"),
+    (["levy-measure", "--mass", "1", "--x-min", "1e-320", "--x-max", "1e-300"],
+     "error: the 1D jump kernel overflows below r = "),
+    (["levy-measure", "--mass", "1", "--dim", "3", "--x-min", "1e-320", "--x-max", "1e-300"],
+     "error: the 3D jump kernel overflows below r = "),
+], ids=["loop", "levy-measure", "levy-measure --dim 3"])
+def test_overflow_fails_with_one_line(tmp_path, capfd, argv, start):
+    # numpy's overflow and invalid-value warnings from the loop's closed form
+    # and from the jump kernels' division reached stderr before the message;
+    # pytest records warnings, so here they raise
+    assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 2
     err = capfd.readouterr().err
-    assert err.startswith("error: unmodified-scalar on [1e+100, 1.2e+154]: "
-                          "the closed form overflows there")
+    assert err.startswith(start)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert list(tmp_path.iterdir()) == []
 

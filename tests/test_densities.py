@@ -273,3 +273,33 @@ def test_kernel_3d_domain():
         levy_density_3d(0.0, UNIT)
     with pytest.raises(ValueError):
         levy_density_3d(-1.0, UNIT)
+
+
+@pytest.mark.parametrize("a", [0.35, 1.0, 3.0])
+def test_kernel_3d_is_the_radial_derivative_of_kernel_1d(a):
+    # an isotropic 3D kernel and its 1D marginal obey W3(r) = -W1'(r)/(2 pi r);
+    # W1' by a 5-point central difference, so no K2 enters the right side
+    p = ExponentParams(a=a, tau=1.0, m=1.0)
+    r = a * np.geomspace(0.01, 30.0, 200)
+    h = 1e-3 * r / (1.0 + r / a)
+    w1_prime = (levy_density_1d(r - 2 * h, p) - 8.0 * levy_density_1d(r - h, p)
+                + 8.0 * levy_density_1d(r + h, p) - levy_density_1d(r + 2 * h, p)) / (12.0 * h)
+    np.testing.assert_allclose(levy_density_3d(r, p), -w1_prime / (2.0 * math.pi * r),
+                               rtol=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", [levy_density_1d, levy_density_3d])
+@pytest.mark.parametrize("m", [1e-30, 1.0, 1e30])
+def test_kernel_overflow_names_the_smallest_radius(kernel, m):
+    # W1 ~ a/(pi r^2) and W3 ~ a/(pi^2 r^4) passed the largest double and
+    # came out inf (1e-300 and below made bessel_k's K1 or K2 overflow first)
+    p = ExponentParams.from_mass(m)
+    with pytest.raises(ValueError, match="jump kernel overflows below r = ") as info:
+        kernel(np.array([1.0, 1e-320]), p)
+    message = str(info.value)
+    named = float(message.rsplit(">= ", 1)[1])
+    assert np.isfinite(kernel(named, p))
+    below = float(message.split("below r = ")[1].split(" ")[0])
+    with pytest.raises(ValueError):
+        kernel(0.999 * below, p)
