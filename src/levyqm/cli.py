@@ -376,8 +376,7 @@ def cmd_loop(args) -> int:
     result = loop_integral(pe, solution, cutoffs, variants=variants)
     out = emit(args, {"tail_fits": {v: dataclasses.asdict(result.tail_fits[v])
                                     for v in variants},
-                      "diagnostics": {"abserr": result.abserr,
-                                      "method": result.method}},
+                      "diagnostics": {"abserr": result.abserr}},
                {"cutoff": result.cutoffs,
                 **{v.replace("-", "_"): result.values[v] for v in variants}},
                resolved={"mass": mass, "lambdas": list(c.as_tuple()), "pe": pe,

@@ -38,8 +38,8 @@ LOG_DECAY_CRITERION = math.log(1e-12)
 
 # Per call at most U_BATCH u and MAX_INTERVALS pieces (~1.3 kB each at the
 # peak of a round), over MAX_DOUBLINGS panels; estimates below ROUNDOFF
-# |integral| are rounding.  GK21 (QUADPACK qk21; Piessens et al. 1983):
-# abscissae >= 0, K21 and G10 weights.
+# |integral| are rounding, here and in the loop of propagators.  GK21
+# (QUADPACK qk21; Piessens et al. 1983): abscissae >= 0, K21 and G10 weights.
 U_BATCH = 64
 MAX_INTERVALS = 2 ** 17
 MAX_DOUBLINGS = 48
@@ -252,13 +252,19 @@ def eta_from_triplet(u, triplet: LevyTriplet,
     return float(eta) if np.ndim(u) == 0 else eta
 
 
+def _gk21(f, lo, half):
+    """K21 and |K21 - G10| of f, which takes rows of nodes, on each [lo, lo + 2 half]."""
+    fx = f((lo + half)[:, None] + half[:, None] * _GK21_NODES)
+    return half * (fx * _GK21_WEIGHTS).sum(1), half * np.abs((fx * _GK21_ERROR_WEIGHTS).sum(1))
+
+
 def _add_jump_integral(u, eta, triplet: LevyTriplet, policy: QuadratureSpec):
     """eta + 2 int_0^inf -2 sin^2(u x / 2) W(x) dx for 1-D u and eta."""
     s, tol, n, density = triplet.scale, policy.tol, MAX_DOUBLINGS, triplet.jump_density
     edges = np.append(0.0, s * 2.0 ** np.arange(n, dtype=float))
     split = np.append(True, 2.0 * np.diff(edges)[1:] * density(edges[1:])[:-1] >= tol)
     row, panel = np.divmod(np.arange(u.size * n), n)  # one piece per (u, panel) cell
-    lo, half, err, val = edges[panel], 0.5 * np.diff(edges)[panel], *np.zeros((2, row.size))
+    lo, half, val, err = edges[panel], 0.5 * np.diff(edges)[panel], *np.zeros((2, row.size))
     cut = np.maximum(1.0, np.ceil(np.abs(u)[:, None] * half[:n] / np.pi * split)).ravel()
     while True:  # piece i becomes cut[i] equal pieces, placed after the uncut ones
         if not (need := row.size + cut.sum() - np.count_nonzero(cut)) <= MAX_INTERVALS:
@@ -271,12 +277,10 @@ def _add_jump_integral(u, eta, triplet: LevyTriplet, policy: QuadratureSpec):
         h = half[one] / cut[one]
         kids = [lo[one] + 2.0 * (np.arange(one.size) - np.searchsorted(one, one)) * h, h,
                 row[one], panel[one]]
-        x = (kids[0] + h)[:, None] + h[:, None] * _GK21_NODES
-        f = -2.0 * np.sin(0.5 * u[kids[2], None] * x) ** 2 * density(x)
-        kids += [h * np.abs((f * _GK21_ERROR_WEIGHTS).sum(axis=1)),
-                 h * (f * _GK21_WEIGHTS).sum(axis=1)]
-        lo, half, row, panel, err, val = (np.concatenate([a[cut == 0], b]) for a, b in
-                                          zip((lo, half, row, panel, err, val), kids))
+        kids += _gk21(lambda x: -2.0 * np.sin(0.5 * u[kids[2], None] * x) ** 2 * density(x),
+                      kids[0], h)
+        lo, half, row, panel, val, err = (np.concatenate([a[cut == 0], b]) for a, b in
+                                          zip((lo, half, row, panel, val, err), kids))
         sums = np.bincount(row * n + panel, val, u.size * n).reshape(u.size, n)
         totals = sums.cumsum(axis=1)
         small = np.abs(sums) < 0.25 * tol * np.maximum(1.0, np.abs(totals))

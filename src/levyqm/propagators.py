@@ -37,16 +37,11 @@ exactly at k = m sqrt(-x_i) for the negative spectrum roots x_i, and the
 first such k inside the top cutoff raises NonpositiveDenominatorError,
 as does the first k where the mass-type 1 + f(-k^2/m^2) turns negative.
 
-The scalar-type proxy is rational in K = k^2: with three simple real
-roots, 1/D = sum_i R_i / (K + M_i^2), the same partial fractions as the
-propagator (Pauli & Villars 1949, Rev. Mod. Phys. 21:434), and the
-unmodified 1/(K + m^2) is the one-term case.  Those variants are summed
-in closed form, with the residues' sum rules cancelling analytically
-what would cancel numerically.  The mass-type numerator is not
-rational, so those variants, a complex pair and close roots (whose
-residues round too coarsely for the closed form) take QUADPACK
-(``scipy.integrate.quad``), imported only then: it costs the README
-``loop`` command ~0.4 s and ~25 MB.
+Each segment is integrated in t = log k, where the integrand is
+k^2 N/D min(1, (k/pE)^2), by the adaptive GK21 rule of ``exponents``
+(numpy, no scipy module), with break points at pE, m and the masses.
+The integrand is written in (m/k)^2 above m, so it stays finite up to
+LOOP_K_MAX, and the error estimate of each segment is GK21's own.
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import MAX_INTERVALS, ROUNDOFF, _gk21
 from .spectrum import CutoffPolynomial, SpectrumSolution, _residual, f_eval
 
 LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
@@ -64,13 +60,10 @@ LOOP_VARIANTS = ("unmodified-scalar", "unmodified-mass",
 
 # find_poles' budget for |R_read/R - 1|, the residue read off each probe pair
 RESIDUE_TOL = 1e-6
-# loop_integral's relative error budget per segment: QUADPACK's epsrel, and
-# the bound the closed form's rounding must meet
+# loop_integral's relative error budget per segment
 LOOP_RTOL = 1e-10
 # the largest pE and cutoff whose square is a finite double
 LOOP_K_MAX = math.sqrt(sys.float_info.max)
-# the largest cutoff QUADPACK takes: its cube is a finite double
-QUADPACK_K_MAX = math.sqrt(LOOP_K_MAX)
 
 
 class NonpositiveDenominatorError(ValueError):
@@ -115,11 +108,9 @@ class TailFit:
 class LoopResult:
     """Cumulative values and increments per variant over the cutoffs.
 
-    method: per variant, "closed form" or "QUADPACK".
-    abserr: per variant, the segments' absolute errors summed, a bound on
-    the error of the last cumulative value: the closed form's rounding
-    bound (about eps times the sum of |terms| of each segment, with the
-    residues' own rounding), or QUADPACK's error estimates.
+    abserr: per variant, the segments' GK21 error estimates |K21 - G10|,
+    each floored at ROUNDOFF |segment|, summed: a bound on the error of
+    the last cumulative value.
     """
 
     cutoffs: np.ndarray
@@ -127,7 +118,6 @@ class LoopResult:
     increments: dict
     tail_fits: dict
     abserr: dict
-    method: dict
 
 
 # ---------------------------------------------------------------------------
@@ -197,148 +187,81 @@ def _first_euclidean_zero(xs, m, k_max):
     return min((k for k in ks if k <= k_max), default=None)
 
 
-def _loop_integrand(k, pE, m, c, modified, mass_type):
-    f_e = f_eval(-(k / m) ** 2, c) if modified else 0.0
-    denom = k ** 2 + m ** 2 * (1.0 + f_e)
-    numer = m * math.sqrt(1.0 + f_e) if mass_type else 1.0
-    # above pE, k^3 / k^2 is k: denom k^2 would overflow first; below it,
-    # k^3 / pE^2 is k (k/pE)^2: denom pE^2 would underflow to 0 first
-    return k * numer / denom * (1.0 if k > pE else (k / pE) ** 2)
+def _loop_integrand(t, m, pE, coefficients, mass_type):
+    """k^2 N / D min(1, (k/pE)^2) at k = e^t: the integrand in dt = dk/k.
 
-
-def _quadpack_segments(pE, spectrum, edges, modified, mass_type):
-    """QUADPACK's integral of each [edges_j, edges_j+1] and its error estimate.
-
-    Above the top cutoff pE sets the integrand's denominator
-    D(k^2) pE^2, D(K) = K + m^2 (1 + f(-K/m^2)); a pE at which that
-    product would pass the largest double raises ValueError naming the
-    largest pE these cutoffs accept.
+    With s = (k/m)^2 below m and (m/k)^2 above, no power of k is formed:
+    below m, 1 + f = Q(s) = 1 - l1 s + l2 s^2 - l3 s^3 and D = m^2 (s + Q);
+    above, 1 + f = P(s)/s^3, P(s) = s^3 - l1 s^2 + l2 s - l3, and
+    D = k^2 (s^2 + P)/s^2, or k^2 (1 + s) without the cutoff (coefficients
+    None).  Every term stays finite up to LOOP_K_MAX.
     """
-    top = float(edges[-1])
-    if top > QUADPACK_K_MAX:
-        raise ValueError(f"cutoff {top:g} overflows QUADPACK's integrand; "
-                         f"the largest accepted is {QUADPACK_K_MAX:.4g}")
-    m, c = spectrum.base_mass, spectrum.coefficients
-    if pE > top:
-        # |D| on [0, top] is at most the sum of its terms' sizes at the top
-        ratio = top / m
-        x = ratio * ratio
-        f_size = (abs(c.lambda1) * x + abs(c.lambda2) * x * x
-                  + abs(c.lambda3) * x * x * x) if modified else 0.0
-        d_max = top ** 2 + m ** 2 * (1.0 + f_size)
-        if d_max * pE ** 2 > sys.float_info.max:
-            raise ValueError(
-                f"pE = {pE:g} overflows QUADPACK's integrand, whose "
-                f"denominator is (k^2 + m^2 (1 + f)) pE^2 below pE; the "
-                f"largest accepted for cutoffs up to {top:g} is "
-                f"{math.sqrt(sys.float_info.max / d_max):.4g}")
-    # of the subcommands only loop imports scipy.integrate, and only for
-    # the variants without a closed form
-    from scipy.integrate import quad
-    features = [pE] + [mass for mass in spectrum.masses if mass > 0]
-    segs, errs = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pts = [p for p in features if lo < p < hi] or None
-        val, err = quad(_loop_integrand, lo, hi,
-                        args=(pE, m, c, modified, mass_type),
-                        points=pts, epsabs=0.0, epsrel=LOOP_RTOL, limit=400)
-        if not math.isfinite(val):
-            raise ValueError(f"QUADPACK's integrand overflows on [{lo:g}, {hi:g}]; "
-                             "lower the cutoffs")
-        segs.append(val)
-        errs.append(err)
-    return np.array(segs), np.array(errs)
+    x = t - math.log(m)
+    above = x > 0.0
+    r = np.exp(-np.abs(x))  # k/m below m, m/k above
+    s = r * r
+    if coefficients is None:
+        lead, rest = np.where(above, 1.0, s), np.where(above, s, 1.0)
+        numer = m * lead if mass_type else lead
+    else:
+        l1, l2, l3 = coefficients
+        lead = np.where(above, s * s, s)
+        rest = np.where(above, ((s - l1) * s + l2) * s - l3,
+                        1.0 + s * (-l1 + s * (l2 - s * l3)))
+        # m sqrt(1 + f) k^2/D; above m, sqrt(P/s^3) s^2 is sqrt(P) r
+        numer = m * np.sqrt(rest) * np.where(above, r, s) if mass_type else lead
+    # exp(2 min(0, .)) is (k/pE)^2 below pE and never overflows
+    return numer / (lead + rest) * np.exp(2.0 * np.minimum(0.0, t - math.log(pE)))
 
 
-def _log_abs_1p(t):
-    """log|1 + t|, by log1p on either side of t = -1."""
-    return np.log1p(np.where(t > -1.0, t, -2.0 - t))
+def _loop_segments(variant, pE, spectrum, cutoffs):
+    """Each segment's integral and error estimate, by GK21 in t = log k.
 
-
-# log(1 + t) - t = sum_{n >= 2} (-1)^(n+1) t^n / n, highest power first;
-# below |t| = 0.1 the terms after n = 19 fall under 1e-17 of the sum
-_H_SERIES = tuple((-1.0) ** (n + 1) / n for n in range(19, 1, -1))
-# ulps of rounding allowed each closed-form term, above _h's worst
-_TERM_ULPS = 24.0
-
-
-def _h(t):
-    """log|1 + t| - t, by its Taylor series where |t| < 0.1.
-
-    The direct difference loses the digits of t^2/2 against t: 2 eps/|t|
-    relative, 21 ulps at |t| = 0.1, growing without bound below it.
+    The segments are [0, cutoff_0] and each [cutoff_j, cutoff_j+1]; their
+    pieces start at the cutoffs, pE, m and the positive masses; the
+    first segment starts 40 e-folds below its lowest break, where the
+    integrand has fallen like k^4.  Each round cuts in four, in every
+    segment not yet resolved, the pieces whose error estimate is above their
+    width's share of LOOP_RTOL |segment|, and a segment is resolved once
+    its estimate, floored at ROUNDOFF |segment|, is within that budget.
+    ValueError names the segment that is no finite non-zero double or
+    that needs over MAX_INTERVALS pieces.
     """
-    small = np.abs(t) < 0.1
-    ts = np.where(small, t, 0.0)
-    return np.where(small, np.polyval(_H_SERIES, ts) * ts * ts,
-                    _log_abs_1p(t) - t)
+    m = spectrum.base_mass
+    coefficients = (spectrum.coefficients.as_tuple()
+                    if variant.startswith("modified") else None)
 
+    def integrand(t):
+        return _loop_integrand(t, m, pE, coefficients, variant.endswith("mass"))
 
-def _partial_fractions(spectrum, variant):
-    """(R_i, M_i^2, cond_i) with 1/D(K) = sum_i R_i / (K + M_i^2), K = k^2.
-
-    D is the scalar proxy's Euclidean denominator; cond_i bounds the
-    relative error of R_i in ulps.  None when the variant has no closed
-    form: the mass variants, whose m sqrt(1 + f) is not rational, and a
-    modified denominator without three simple real roots.
-    """
-    m2 = spectrum.base_mass ** 2
-    if variant == "unmodified-scalar":
-        return np.ones(1), np.array([m2]), np.zeros(1)
-    if variant != "modified-scalar" or not spectrum.simple_cubic:
-        return None
-    x, r = np.array(spectrum.roots), np.array(spectrum.residues)
-    l1, l2, l3 = spectrum.coefficients.as_tuple()
-    # g'(x_i) rounds against the sum of its terms' sizes, and the root's own
-    # last ulp moves it by |x_i g''(x_i)| eps, at most twice that sum
-    size = 1.0 + abs(l1) + 2.0 * np.abs(l2 * x) + 3.0 * np.abs(l3) * x * x
-    return r, m2 * x, 3.0 * size * np.abs(r)
-
-
-def _closed_form_segments(pE, residues, m2, cond, edges):
-    """Each segment's integral in closed form, and its rounding bound.
-
-    With K = k^2 the integrand is dK/(2D) above pE and K dK/(2 pE^2 D)
-    below, so with 1/D = sum R_i/(K + M_i^2) a segment is
-
-      above pE:  (1/2) sum R_i log|K + M_i^2|,
-      below pE:  (1/(2 pE^2)) sum R_i (K - M_i^2 log|K + M_i^2|)
-
-    between its ends.  With three terms, sum R_i = sum R_i M_i^2 = 0
-    (sum_rules) drop c0 + c1 M_i^2 from every term at each end.  Above
-    pE that leaves R_i h(t_i), t_i = M_i^2/K, at an end where every
-    |t_i| <= 1, so that octave increments ~ t^2 lose no digits to the
-    cancelling terms ~ t, and R_i log|1 + t_i| at an end where some
-    |t_i| > 1, where t_i itself would be large.  Below pE the roles of K
-    and M_i^2 swap.
-    """
-    rules = len(residues) == 3
-    lead = 0.0 if rules else residues.sum()
-    # in K; a piece with equal ends is empty
-    above = np.maximum(edges, pE) ** 2
-    below = np.minimum(edges, pE) ** 2
-
-    def ends(phi, scale):
-        terms = scale * phi
-        bound = np.abs(terms) * (_TERM_ULPS + cond)
-        return terms.sum(axis=1), bound.sum(axis=1)
-
-    t = m2 / above[:, None]
-    small = np.abs(t).max(axis=1, keepdims=True) <= 1.0
-    v, v_err = ends(np.where(small & rules, _h(t), _log_abs_1p(t)), residues)
-    s = below[:, None] / m2
-    large = np.abs(s).max(axis=1, keepdims=True) > 1.0
-    w, w_err = ends(np.where(large & rules, _log_abs_1p(s), _h(s)),
-                    -residues * m2)
-    log_k = lead * np.log(above[1:] / above[:-1])
-    up = above[1:] > above[:-1]
-    down = below[1:] > below[:-1]
-    segs = (np.where(up, 0.5 * (log_k + v[1:] - v[:-1]), 0.0)
-            + np.where(down, 0.5 * (w[1:] - w[:-1]) / pE ** 2, 0.0))
-    errs = (np.where(up, 0.5 * (_TERM_ULPS * np.abs(log_k) + v_err[1:]
-                                + v_err[:-1]), 0.0)
-            + np.where(down, 0.5 * (w_err[1:] + w_err[:-1]) / pE ** 2, 0.0))
-    return segs, np.finfo(float).eps * errs
+    breaks = np.log([pE, m, *(mass for mass in spectrum.masses if mass > 0)])
+    ends = np.log(cutoffs)
+    ends = np.append(min(breaks.min(), ends[0]) - 40.0, ends)
+    points = np.union1d(ends, breaks[(breaks > ends[0]) & (breaks < ends[-1])])
+    lo, half = points[:-1], 0.5 * np.diff(points)
+    seg = np.searchsorted(ends, lo, side="right") - 1
+    val, err = _gk21(integrand, lo, half)
+    width = np.diff(ends)
+    while True:
+        segs = np.bincount(seg, val, cutoffs.size)
+        errs = np.maximum(np.bincount(seg, err, cutoffs.size), ROUNDOFF * np.abs(segs))
+        budget = LOOP_RTOL * np.abs(segs)
+        cut = (errs > budget)[seg] & (err * width[seg] > budget[seg] * 2.0 * half)
+        bad = ~np.isfinite(segs) | (segs == 0.0)
+        if bad.any() or lo.size + 3 * np.count_nonzero(cut) > MAX_INTERVALS:
+            j = int(np.argmax(bad)) if bad.any() else int(seg[np.argmax(cut)])
+            why = (f"reads {segs[j]:.3g}, not a finite non-zero double" if bad.any()
+                   else f"needs over {MAX_INTERVALS} pieces")
+            raise ValueError(f"{variant} on [{cutoffs[j - 1] if j else 0.0:g}, "
+                             f"{cutoffs[j]:g}] {why}; lower pE or the cutoffs")
+        if not cut.any():
+            return segs, errs
+        h = 0.25 * half[cut]  # each cut piece becomes four
+        kids = [(lo[cut] + 2.0 * h * np.arange(4.0)[:, None]).ravel(), np.tile(h, 4),
+                np.tile(seg[cut], 4)]
+        kids += _gk21(integrand, *kids[:2])
+        lo, half, seg, val, err = (np.concatenate([a[~cut], b]) for a, b in
+                                   zip((lo, half, seg, val, err), kids))
 
 
 def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
@@ -347,15 +270,11 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
 
     The spectrum gives the base mass, the coefficients and, from its
     masses, the quadrature break points.  Each [cutoff_j, cutoff_j+1]
-    increment is computed separately (so increments are accurate
-    relative to themselves, not to the bulk) and accumulated, each to
-    LOOP_RTOL relative.  The scalar variants take the closed form of
-    ``_closed_form_segments`` whenever their partial fractions exist and
-    its rounding bound meets LOOP_RTOL on every segment; the rest, and
-    close roots whose residues carry too few digits, take QUADPACK.
-    pE and the cutoffs may be at most LOOP_K_MAX, the largest double with
-    a finite square, and the cutoffs QUADPACK integrates at most
-    QUADPACK_K_MAX; beyond, ValueError names the bound.
+    increment is integrated separately by ``_loop_segments`` (so
+    increments are accurate relative to themselves, not to the bulk),
+    each to LOOP_RTOL relative, and accumulated.  pE and the cutoffs may
+    be at most LOOP_K_MAX, the largest double with a finite square;
+    beyond, ValueError names the bound.
     """
     pE = float(pE)
     if not (math.isfinite(pE) and pE > 0):
@@ -395,44 +314,15 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
                 "real: use --variant scalar, or a cutoff with 1 + f >= 0 up to "
                 "the top cutoff", location=k0)
 
-    edges = np.concatenate([[0.0], cutoffs])
-    values, increments, tail_fits, abserr, method = {}, {}, {}, {}, {}
+    values, increments, tail_fits, abserr = {}, {}, {}, {}
     for variant in variants:
-        fractions = _partial_fractions(spectrum, variant)
-        if fractions is not None:
-            # K/M_i^2, M_i^2/K and the ratio of a segment's K ends can
-            # overflow; such a segment is not finite, so it is not resolved
-            # and needs no warning
-            with np.errstate(all="ignore"):
-                segs, errs = _closed_form_segments(pE, *fractions, edges)
-            resolved = np.isfinite(segs) & (errs <= LOOP_RTOL * segs)
-            method[variant] = "closed form"
-        if fractions is None or not resolved.all():
-            try:
-                segs, errs = _quadpack_segments(pE, spectrum, edges,
-                                                variant.startswith("modified"),
-                                                variant.endswith("mass"))
-            except ValueError as exc:
-                if fractions is None:
-                    raise
-                # the closed form's limit is the cause: QUADPACK only
-                # stood in for it
-                j = int(np.argmin(resolved))
-                limit = (f"reads {segs[j]:.3g} with a rounding bound of "
-                         f"{errs[j]:.3g}, so it resolves no segment below "
-                         f"{errs[j] / LOOP_RTOL:.3g} there"
-                         if math.isfinite(errs[j]) else "overflows there")
-                raise ValueError(
-                    f"{variant} on [{edges[j]:g}, {edges[j + 1]:g}]: the closed "
-                    f"form {limit}; lower pE or the cutoffs (QUADPACK cannot "
-                    f"stand in: {exc})") from exc
-            method[variant] = "QUADPACK"
+        segs, errs = _loop_segments(variant, pE, spectrum, cutoffs)
         abserr[variant] = float(errs.sum())
         values[variant] = np.cumsum(segs)
         increments[variant] = segs[1:]
         tail_fits[variant] = _analyze_tail(cutoffs, values[variant], segs[1:])
     return LoopResult(cutoffs=cutoffs, values=values, increments=increments,
-                      tail_fits=tail_fits, abserr=abserr, method=method)
+                      tail_fits=tail_fits, abserr=abserr)
 
 
 def _linear_fit(x, y):

@@ -332,28 +332,9 @@ EDGE_INPUTS = [
      "cutoff 1e+160 overflows k^2; the largest accepted is 1.341e+154"),
     (["loop", "--preset", "table3", "--octaves", "600"],
      "overflows k^2; the largest accepted is 1.341e+154"),
-    # QUADPACK's integrand read 0 (unmodified) or NaN (modified): exit 0
-    (["loop", "--preset", "table3", "--variant", "mass", "--cutoffs", "1e76,1e80"],
-     "cutoff 1e+80 overflows QUADPACK's integrand; the largest accepted is 1.158e+77"),
-    (["loop", "--preset", "table3", "--variant", "mass", "--cutoffs", "1e40,1e70"],
-     "QUADPACK's integrand overflows on [1e+40, 1e+70]"),
-    # pE^2 (k^2 + m^2) overflowed and QUADPACK's integrand read 0 above
-    # k ~ 134: unmodified_mass was 4.593e-304 in both rows, where
-    # m K^2/(2 pE^2) gives 2.555e-302 and 1.022e-301 (exit 0)
-    (["loop", "--preset", "table3", "--variant", "mass", "--pe", "1e152",
-      "--cutoffs", "1000,2000"],
-     "pE = 1e+152 overflows QUADPACK's integrand, whose denominator is "
-     "(k^2 + m^2 (1 + f)) pE^2 below pE; the largest accepted for cutoffs "
-     "up to 2000 is 6.704e+150"),
-    # the same for modified_mass: 2.219e-300 in both rows, where the
-    # integral is 1.866e-298 and 3.735e-298 (exit 0)
-    (["loop", "--preset", "table3", "--variant", "mass", "--pe", "1e150",
-      "--cutoffs", "1000,2000"],
-     "the largest accepted for cutoffs up to 2000 is 3.133e+143"),
-    # the closed form's segment underflowed, and the message named
-    # QUADPACK's cutoff bound as the cause
+    # the modified-scalar segment is ~1e-500, below every double
     (["loop", "--preset", "table3", "--pe", "1e150", "--cutoffs", "1e100,1e150"],
-     "modified-scalar on [1e+100, 1e+150]: the closed form reads "),
+     "modified-scalar on [1e+100, 1e+150] reads 0, not a finite non-zero double"),
     # W1 and W3 passed the largest double: inf rows, a numpy RuntimeWarning
     # and exit 0
     (["levy-measure", "--mass", "1", "--x-min", "1e-320", "--x-max", "1e-300"],
@@ -410,6 +391,35 @@ def test_edge_inputs_are_domain_errors(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+M_TABLE3 = PRESET_MASSES["table3"][0]
+LOOP_EDGE_VALUES = [
+    # QUADPACK refused cutoffs above 1.158e77 (exit 2); with pE = m the
+    # unmodified-mass sweep is m (1 - log 2 + log((K^2 + m^2) / (2 m^2))) / 2
+    (["--cutoffs", "1e76,1e80"], "unmodified_mass",
+     [M_TABLE3 / 2 * (1 - math.log(2) + math.log(k * k / (2 * M_TABLE3 ** 2)))
+      for k in (1e76, 1e80)], 1e-13),
+    # its integrand, ~ k^6 / k^8, was inf / inf above ~1e51 (exit 2); the
+    # increment, 1.87e-41, is below the last digit of the bulk (mpmath)
+    (["--cutoffs", "1e40,1e70"], "modified_mass",
+     [0.37311090426477449, 0.37311090426477449], 1e-13),
+    # QUADPACK refused a pE whose D pE^2 passes the largest double (exit 2);
+    # m K^2 / (2 pE^2) is the integral to 7.6e-12
+    (["--pe", "1e152", "--cutoffs", "1000,2000"], "unmodified_mass",
+     [2.555e-302, 1.022e-301], 1e-11),
+    (["--pe", "1e150", "--cutoffs", "1000,2000"], "modified_mass",
+     [1.8658e-298, 3.7349e-298], 1e-4),
+]
+
+
+@pytest.mark.parametrize("argv, column, want, rtol", LOOP_EDGE_VALUES,
+                         ids=[" ".join(argv) for argv, *_ in LOOP_EDGE_VALUES])
+def test_mass_loop_edge_inputs_give_values(tmp_path, argv, column, want, rtol):
+    out = tmp_path / "loop.csv"
+    assert main(["loop", "--preset", "table3", "--variant", "mass", *argv,
+                 "-o", str(out)]) == 0
+    np.testing.assert_allclose(read_csv_columns(out)[column], want, rtol=rtol, atol=0)
+
+
 def test_non_finite_cutoff_fails_before_lapack(tmp_path, capfd):
     # the SVD of the tail fit printed LAPACK's DLASCL complaints to fd 2
     assert main(["loop", "--preset", "table3", "--cutoffs", "100,nan,400",
@@ -420,16 +430,16 @@ def test_non_finite_cutoff_fails_before_lapack(tmp_path, capfd):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, start", [
     (["loop", "--preset", "table3", "--pe", "1e154", "--cutoffs", "1e100,1.2e154"],
-     "error: unmodified-scalar on [1e+100, 1.2e+154]: the closed form overflows there"),
+     "error: modified-scalar on [1e+100, 1.2e+154] reads 0, not a finite "),
     (["levy-measure", "--mass", "1", "--x-min", "1e-320", "--x-max", "1e-300"],
      "error: the 1D jump kernel overflows below r = "),
     (["levy-measure", "--mass", "1", "--dim", "3", "--x-min", "1e-320", "--x-max", "1e-300"],
      "error: the 3D jump kernel overflows below r = "),
 ], ids=["loop", "levy-measure", "levy-measure --dim 3"])
 def test_overflow_fails_with_one_line(tmp_path, capfd, argv, start):
-    # numpy's overflow and invalid-value warnings from the loop's closed form
-    # and from the jump kernels' division reached stderr before the message;
-    # pytest records warnings, so here they raise
+    # numpy's overflow and invalid-value warnings from the loop's former
+    # closed form and from the jump kernels' division reached stderr before
+    # the message; pytest records warnings, so here they raise
     assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 2
     err = capfd.readouterr().err
     assert err.startswith(start)
@@ -439,8 +449,8 @@ def test_overflow_fails_with_one_line(tmp_path, capfd, argv, start):
 
 @pytest.mark.parametrize("pe", ["1e-161", "5e-324"])
 def test_loop_at_a_tiny_pe_is_its_zero_momentum_limit(tmp_path, pe):
-    # D pE^2 underflowed to 0 in QUADPACK's integrand below pE: exit 1 with
-    # a ZeroDivisionError; (k/pE)^2 k/D is that integrand and cannot
+    # D pE^2 underflowed to 0 in an integrand in k below pE: exit 1 with
+    # a ZeroDivisionError; exp(2 (log k - log pE)) k^2/D in log k cannot
     result = {}
     for value in (pe, "1e-100"):
         out = tmp_path / f"loop_{value}.csv"
@@ -450,7 +460,7 @@ def test_loop_at_a_tiny_pe_is_its_zero_momentum_limit(tmp_path, pe):
     diagnostics = load_json(tmp_path / f"loop_{pe}.csv.meta.json")["diagnostics"]
     for variant in ("unmodified-scalar", "modified-scalar"):
         column = variant.replace("-", "_")
-        # at pE = 1e-100 the closed form is the pE -> 0 limit to 1e-190
+        # at pE = 1e-100 the sweep is the pE -> 0 limit to 1e-190
         np.testing.assert_allclose(result[pe][column],
                                    result["1e-100"][column], rtol=1e-10)
         assert diagnostics["abserr"][variant] < 1e-9 * result[pe][column][-1]
@@ -947,19 +957,15 @@ def test_levy_khintchine_quadrature_loads_no_scipy_integrate():
     assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]}
 
 
-@pytest.mark.parametrize("variant, integrates", [("scalar", False),
-                                                 ("mass", True)])
-def test_only_the_mass_loop_loads_scipy_integrate(tmp_path, variant,
-                                                  integrates):
-    # the scalar variants are closed form; m sqrt(1 + f) needs QUADPACK
+@pytest.mark.parametrize("variant", ["scalar", "mass"])
+def test_loop_loads_no_scipy_module(tmp_path, variant):
+    # every variant is integrated by the numpy GK21 of exponents
     out = tmp_path / "loop.csv"
-    loaded = scipy_modules_after(
+    assert scipy_modules_after(
         "import levyqm.cli\n"
         f"assert levyqm.cli.main(['loop', '--preset', 'table3', '--variant', "
-        f"{variant!r}, '-o', {str(out)!r}]) == 0")
-    assert ("scipy.integrate" in loaded) == integrates
-    methods = load_json(tmp_path / "loop.csv.meta.json")["diagnostics"]["method"]
-    assert set(methods.values()) == {"QUADPACK" if integrates else "closed form"}
+        f"{variant!r}, '-o', {str(out)!r}]) == 0") == set()
+    assert set(load_json(tmp_path / "loop.csv.meta.json")["diagnostics"]) == {"abserr"}
 
 
 def scipy_modules_running(argv, out):

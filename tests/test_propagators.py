@@ -1,17 +1,14 @@
 import dataclasses
 import math
-import re
-
 import numpy as np
 import pytest
 
 import levyqm.propagators as propagators
 from levyqm.presets import PRESET_MASSES
-from levyqm.propagators import (LOOP_K_MAX, LOOP_RTOL, QUADPACK_K_MAX,
+from levyqm.propagators import (LOOP_K_MAX, LOOP_RTOL, LOOP_VARIANTS,
                                 NonpositiveDenominatorError,
-                                _h, _quadpack_segments,
                                 find_poles, kg_propagator, loop_integral)
-from levyqm.spectrum import (CutoffPolynomial, MassTriple, fit_masses,
+from levyqm.spectrum import (CutoffPolynomial, MassTriple, f_eval, fit_masses,
                              g_prime, masses_from_lambdas)
 
 ZERO = CutoffPolynomial(0.0, 0.0, 0.0)
@@ -146,7 +143,6 @@ def test_loop_modified_mass_linear_tail(table3):
     fit = res.tail_fits["modified-mass"]
     for ratio in fit.octave_ratios:
         assert 0.25 < ratio < 1.0
-    assert fit.decay_exponent == pytest.approx(-1.0, abs=0.5)
 
 
 def test_loop_modified_increments_strictly_decreasing(table3):
@@ -304,17 +300,25 @@ def test_loop_rejects_non_finite_inputs(table3, monkeypatch, pe, cutoffs,
     def no_work(*args):
         raise AssertionError("integrated a non-finite input")
 
-    monkeypatch.setattr(propagators, "_closed_form_segments", no_work)
-    monkeypatch.setattr(propagators, "_quadpack_segments", no_work)
+    monkeypatch.setattr(propagators, "_loop_segments", no_work)
     with pytest.raises(ValueError, match=message):
         loop_integral(pe, table3[0], cutoffs)
 
 
+def test_loop_names_a_segment_over_the_piece_cap(table3, monkeypatch):
+    # the README sweep starts from 12 pieces, and the first round cuts more
+    monkeypatch.setattr(propagators, "MAX_INTERVALS", 12)
+    with pytest.raises(ValueError, match=r"^unmodified-scalar on \[\S+, \S+\] "
+                       r"needs over 12 pieces; lower pE or the cutoffs$"):
+        loop_integral(table3[0].base_mass, table3[0],
+                      177.0 * 2.0 ** np.arange(9), variants=SCALAR)
+
+
 def test_loop_takes_momenta_up_to_a_finite_square(table3):
     # pE^2 and k^2 overflowed Python's float power with an OverflowError
-    for pe, cutoffs in [(LOOP_K_MAX, [1.0, 2.0]), (1.0, [1e100, LOOP_K_MAX])]:
+    # (modified-scalar on [1e100, LOOP_K_MAX] is ~1e-402, below every double)
+    for pe, cutoffs in [(LOOP_K_MAX, [1.0, 2.0]), (1.0, [1e50, LOOP_K_MAX])]:
         result = loop_integral(pe, table3[0], cutoffs, variants=SCALAR)
-        assert set(result.method.values()) == {"closed form"}
         assert all(np.all(np.isfinite(v)) for v in result.values.values())
     above = math.nextafter(LOOP_K_MAX, math.inf)
     for pe, cutoffs in [(above, [1.0, 2.0]), (1.0, [1.0, above])]:
@@ -323,20 +327,25 @@ def test_loop_takes_momenta_up_to_a_finite_square(table3):
 
 
 def test_quadpack_takes_cutoffs_while_its_integrand_is_right(table3):
-    # the unmodified-mass integrand is m k / (k^2 + m^2) ~ m/k above pE, and
-    # cutoffs above QUADPACK_K_MAX are refused
+    # QUADPACK refused cutoffs above 1.158e77, whose cube passes the largest
+    # double; above pE the unmodified-mass integrand is m k / (k^2 + m^2),
+    # ~ m/k, so the increments are m log(ratio)
     spectrum = table3[0]
     m = spectrum.base_mass
-    result = loop_integral(1.0, spectrum, [1e76, QUADPACK_K_MAX],
+    result = loop_integral(1.0, spectrum, [1e76, 1e80, 1e100],
                            variants=("unmodified-mass",))
-    assert result.increments["unmodified-mass"][0] == pytest.approx(
-        m * math.log(QUADPACK_K_MAX / 1e76), rel=1e-9)
-    with pytest.raises(ValueError, match="the largest accepted is 1.158e"):
-        loop_integral(1.0, spectrum, [1e76, math.nextafter(QUADPACK_K_MAX, 2e77)],
-                      variants=("unmodified-mass",))
-    # the modified-mass integrand, ~k^6 / k^8, is inf / inf above ~1e51
-    with pytest.raises(ValueError, match="integrand overflows on"):
-        loop_integral(1.0, spectrum, [1e40, 1e70], variants=("modified-mass",))
+    np.testing.assert_allclose(result.increments["unmodified-mass"],
+                               m * np.log([1e4, 1e20]), rtol=1e-13)
+    # QUADPACK's modified-mass integrand, ~ k^6 / k^8, was inf / inf above
+    # ~1e51; the leading cubic term gives m^2 (1/a - 1/b) / sqrt(|l3|)
+    cutoffs = np.array([1e40, 1e70, 1e100, LOOP_K_MAX])
+    result = loop_integral(1.0, spectrum, cutoffs, variants=("modified-mass",))
+    leading = (m ** 2 * (1.0 / cutoffs[:-1] - 1.0 / cutoffs[1:])
+               / math.sqrt(-spectrum.coefficients.lambda3))
+    np.testing.assert_allclose(result.increments["modified-mass"], leading,
+                               rtol=1e-13)
+    assert result.increments["modified-mass"][:2] == pytest.approx(
+        [1.86912e-41, 1.86912e-71], rel=1e-6)
 
 
 def test_modified_mass_tail_is_right_where_denominator_times_k2_overflows(table3):
@@ -354,43 +363,69 @@ def test_modified_mass_tail_is_right_where_denominator_times_k2_overflows(table3
 def test_quadpack_takes_pe_while_its_denominator_is_finite(table3, variant,
                                                            largest):
     # above the top cutoff the integrand is k^3 N / (D pE^2), so pE^2 I is
-    # one number at every pE; where D pE^2 overflowed the integrand read 0,
-    # and unmodified-mass at pE = 1e152 came out 4.59e-304 in both rows
+    # one number at every pE; QUADPACK refused a pE above ``largest``, where
+    # D pE^2 passes the largest double, and read 0 before that bound
     spectrum, cutoffs = table3[0], [1e3, 2e3]
     scaled = [loop_integral(pe, spectrum, cutoffs, variants=(variant,))
-              .values[variant] * pe ** 2 for pe in (1e4, 0.999 * largest)]
-    np.testing.assert_allclose(scaled[1], scaled[0], rtol=1e-9)
-    message = f"the largest accepted for cutoffs up to 2000 is {largest:.4g}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        loop_integral(1.001 * largest, spectrum, cutoffs, variants=(variant,))
+              .values[variant] * pe ** 2 for pe in (1e4, 1.001 * largest, 1e152)]
+    for other in scaled[1:]:
+        np.testing.assert_allclose(other, scaled[0], rtol=1e-12)
+
+
+def test_mass_loop_at_a_huge_pe_matches_its_small_k_limit(table3):
+    # below pE the unmodified-mass integral is m int k^3 dk / ((k^2 + m^2) pE^2)
+    # = m (K^2 - m^2 log(1 + K^2/m^2)) / (2 pE^2), m K^2 / (2 pE^2) to 7.6e-12
+    spectrum, cutoffs = table3[0], np.array([1000.0, 2000.0])
+    m = spectrum.base_mass
+    values = loop_integral(1e152, spectrum, cutoffs,
+                           variants=("unmodified-mass",)).values["unmodified-mass"]
+    want = m * (cutoffs ** 2 - m ** 2 * np.log1p((cutoffs / m) ** 2)) / 2.0 / 1e152 ** 2
+    np.testing.assert_allclose(values, want, rtol=1e-13)
+    assert values == pytest.approx([2.555e-302, 1.022e-301], rel=1e-11)
+    # modified-mass at pE = 1e150, against mpmath's quadrature of the integrand
+    mp = pytest.importorskip("mpmath")
+    values = loop_integral(1e150, spectrum, cutoffs,
+                           variants=("modified-mass",)).values["modified-mass"]
+    with mp.workdps(30):
+        l1, l2, l3 = (mp.mpf(v) for v in spectrum.coefficients.as_tuple())
+        mm = mp.mpf(m)
+
+        def integrand(k):  # times pE^2: mp.quad's tolerance is absolute
+            y = (k / mm) ** 2
+            one_f = 1 - l1 * y + l2 * y ** 2 - l3 * y ** 3
+            return k ** 3 * mm * mp.sqrt(one_f) / (k ** 2 + mm ** 2 * one_f)
+
+        points = [0.0, *sorted(spectrum.masses), *cutoffs]
+        want = np.cumsum([float(mp.quad(integrand, [p for p in points if lo <= p <= hi])
+                                / mp.mpf(1e150) ** 2)
+                          for lo, hi in zip([0.0, cutoffs[0]], cutoffs)])
+    np.testing.assert_allclose(values, want, rtol=1e-12)
+    assert values == pytest.approx([1.8658e-298, 3.7349e-298], rel=1e-4)
 
 
 def test_closed_form_out_of_range_names_its_own_limit(table3):
-    # the segment [1e100, 1e150] is ~1e-500, below every double, and the
-    # closed form read -8.9e-316; the QUADPACK fallback then refused the
-    # cutoff, and its message was the only one the run gave
-    with pytest.raises(ValueError, match=r"modified-scalar on \[1e\+100, "
-                       r"1e\+150\]: the closed form reads .* so it resolves "
-                       r"no segment below \S+ there; lower pE or the cutoffs "
-                       r"\(QUADPACK cannot stand in: cutoff 1e\+150"):
+    # the segment [1e100, 1e150] is ~1e-500, below every double: a closed
+    # form read -8.9e-316 there, and the integral reads 0
+    with pytest.raises(ValueError, match=r"^modified-scalar on \[1e\+100, "
+                       r"1e\+150\] reads 0, not a finite non-zero double; "
+                       r"lower pE or the cutoffs$"):
         loop_integral(1e150, table3[0], [1e100, 1e150],
                       variants=("unmodified-scalar", "modified-scalar"))
 
 
 def test_non_finite_closed_form_segment_is_not_resolved(table3):
-    # pE^2 = 1e-310 is subnormal, and the first segment's ratio of K ends,
-    # 177^2/pE^2, overflows: unmodified-scalar read inf, with an inf rounding
-    # bound that passed as resolved, so the run wrote inf with exit 0
+    # pE^2 = 1e-310 is subnormal, and a closed form's ratio of K ends on the
+    # first segment, 177^2/pE^2, overflowed: unmodified-scalar read inf, with
+    # an inf rounding bound that passed as resolved, so the run wrote inf
     cutoffs = [177.0, 354.0]
     got = loop_integral(1e-155, table3[0], cutoffs, variants=SCALAR)
-    assert got.method == {v: "QUADPACK" for v in SCALAR}
     want = loop_integral(1e-150, table3[0], cutoffs, variants=SCALAR)
     for v in SCALAR:
         np.testing.assert_allclose(got.values[v], want.values[v], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# closed-form scalar loop against mpmath and QUADPACK
+# the loop against mpmath and QUADPACK
 # ---------------------------------------------------------------------------
 
 SCALAR = ("unmodified-scalar", "modified-scalar")
@@ -433,26 +468,40 @@ def mp_segments(pE, spectrum, edges, modified):
     return np.array(segs)
 
 
-def assert_matches_oracles(pE, spectrum, cutoffs, method, rtol=1e-13):
-    result = loop_integral(pE, spectrum, cutoffs, variants=SCALAR)
+def quadpack_segments(pE, spectrum, edges, variant):
+    """QUADPACK's integral of the proxy over each [edges_j, edges_j+1], in k."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    m, c = spectrum.base_mass, spectrum.coefficients
+
+    def integrand(k):
+        one_f = 1.0 + f_eval(-(k / m) ** 2, c) if variant.startswith("modified") else 1.0
+        numer = m * math.sqrt(one_f) if variant.endswith("mass") else 1.0
+        return k * numer / (k ** 2 + m ** 2 * one_f) * min(1.0, (k / pE) ** 2)
+
+    points = [pE, *(mass for mass in spectrum.masses if mass > 0)]
+    return np.array([quad(integrand, lo, hi, epsabs=0.0, epsrel=LOOP_RTOL, limit=400,
+                          points=[p for p in points if lo < p < hi] or None)[0]
+                     for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+def assert_matches_oracles(pE, spectrum, cutoffs, variants=SCALAR):
+    """Totals and increments match QUADPACK, and the scalar ones 50-digit
+    mpmath, to 1e-13; the error bound holds against mpmath."""
+    result = loop_integral(pE, spectrum, cutoffs, variants=variants)
     edges = np.concatenate([[0.0], cutoffs])
-    for variant in SCALAR:
-        assert result.method[variant] == method[variant]
-        modified = variant.startswith("modified")
-        exact = mp_segments(pE, spectrum, edges, modified)
-        quadpack, _ = _quadpack_segments(pE, spectrum, edges, modified, False)
-        for oracle in (exact, quadpack):
+    for variant in variants:
+        oracles = [quadpack_segments(pE, spectrum, edges, variant)]
+        if variant.endswith("scalar"):
+            oracles.append(mp_segments(pE, spectrum, edges,
+                                       variant.startswith("modified")))
+            assert abs(result.values[variant][-1] - np.sum(oracles[-1])) \
+                <= result.abserr[variant]
+        for oracle in oracles:
             np.testing.assert_allclose(result.values[variant],
-                                       np.cumsum(oracle), rtol=rtol, atol=0)
+                                       np.cumsum(oracle), rtol=1e-13, atol=0)
             np.testing.assert_allclose(result.increments[variant], oracle[1:],
-                                       rtol=rtol, atol=0)
-        # the error bound holds against the 50-digit oracle
-        assert abs(result.values[variant][-1] - np.sum(exact)) \
-            <= result.abserr[variant]
+                                       rtol=1e-13, atol=0)
     return result
-
-
-CLOSED = dict.fromkeys(SCALAR, "closed form")
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_MASSES))
@@ -462,9 +511,10 @@ def test_closed_form_loop_matches_mpmath_and_quadpack(name):
     # the README sweep: pE the base mass, 100 m3 times 2^0 .. 2^8
     cutoffs = 100.0 * masses.m3 * 2.0 ** np.arange(9)
     result = assert_matches_oracles(spectrum.base_mass, spectrum, cutoffs,
-                                    CLOSED)
-    for variant in SCALAR:
-        assert result.abserr[variant] < 1e-12 * result.values[variant][-1]
+                                    LOOP_VARIANTS)
+    for variant in LOOP_VARIANTS:
+        # every segment stops within LOOP_RTOL of itself, and all are positive
+        assert result.abserr[variant] <= LOOP_RTOL * result.values[variant][-1]
 
 
 def test_closed_form_loop_with_a_negative_root():
@@ -474,39 +524,31 @@ def test_closed_form_loop_with_a_negative_root():
     spectrum = masses_from_lambdas(lambdas_of_roots(1.0, 3.0, -50.0), 1.0)
     cutoffs = np.array([0.5, 1.0, 2.0, 4.0, 6.5])
     for pE in (0.3, 1.0, 3.0):
-        assert_matches_oracles(pE, spectrum, cutoffs, CLOSED)
+        assert_matches_oracles(pE, spectrum, cutoffs)
 
 
-def test_complex_pair_loop_takes_quadpack():
+def test_complex_pair_loop_matches_mpmath():
     # g(x) - 1 = 0.2 (x - 1)(x^2 - 4x + 5): roots 1 and 2 +- i, of which the
-    # spectrum carries only the real one, so no partial fractions exist
+    # spectrum carries only the real one, so it has no partial fractions
     spectrum = masses_from_lambdas(CutoffPolynomial(-0.8, 1.0, -0.2), 1.0)
     assert spectrum.n_complex == 2
-    assert_matches_oracles(1.0, spectrum, 10.0 * 2.0 ** np.arange(6),
-                           {"unmodified-scalar": "closed form",
-                            "modified-scalar": "QUADPACK"})
+    assert_matches_oracles(1.0, spectrum, 10.0 * 2.0 ** np.arange(6))
 
 
-@pytest.mark.parametrize("gap, method", [(1e-2, "closed form"),
-                                         (3e-3, "QUADPACK"),
-                                         (3e-4, "QUADPACK"),
-                                         (1e-6, "QUADPACK")])
-def test_close_roots_take_quadpack_when_their_residues_round(gap, method):
-    # residues ~ 1/gap carry ~ eps/gap of rounding into sums that cancel
-    # to O(1): the closed form misses by 6.5e-11 at gap 3e-3, 1.1e-9 at
-    # 3e-4 and 7.9e-5 at 1e-6, so its rounding bound sends them to QUADPACK
+@pytest.mark.parametrize("gap", [1e-2, 3e-3, 3e-4, 1e-6])
+def test_close_roots_loop_matches_mpmath(gap):
+    # residues ~ 1/gap carry ~ eps/gap of rounding into sums that cancel to
+    # O(1): partial fractions miss by 6.5e-11 at gap 3e-3, 1.1e-9 at 3e-4
+    # and 7.9e-5 at 1e-6; the integrand itself has no residues to round
     spectrum = fit_masses(MassTriple(1.0, 1.0 + gap, 3.0))
-    cutoffs = 300.0 * 2.0 ** np.arange(9)
-    assert_matches_oracles(1.0, spectrum, cutoffs,
-                           {"unmodified-scalar": "closed form",
-                            "modified-scalar": method},
-                           rtol=LOOP_RTOL)
+    assert_matches_oracles(1.0, spectrum, 300.0 * 2.0 ** np.arange(9))
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_MASSES))
 def test_quartic_decay_follows_from_the_sum_rules(name):
-    # increments are (1/2) sum R_i [h(M_i^2/b^2) - h(M_i^2/a^2)]: the sum
-    # rules cancel the L^0 and L^-2 terms, leaving
+    # with 1/D = sum R_i / (k^2 + M_i^2), increments are (1/2) sum R_i
+    # [h(M_i^2/b^2) - h(M_i^2/a^2)], h(t) = log(1 + t) - t: the sum rules
+    # cancel the L^0 and L^-2 terms, leaving
     # -(1/4) sum R_i M_i^4 (b^-4 - a^-4) = m^4 (b^-4 - a^-4) / (4 l3)
     masses = MassTriple.from_values(PRESET_MASSES[name])
     spectrum = fit_masses(masses)
@@ -524,11 +566,19 @@ def test_quartic_decay_follows_from_the_sum_rules(name):
     assert fit.decay_r2 == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("t", [1e-12, -1e-8, 1e-3, -0.05, 0.0999, 0.1, -0.3,
-                               0.5, 2.0, -3.0, 1e10])
-def test_h_against_mpmath(t):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        want = float(mp.log(abs(1 + mp.mpf(t))) - mp.mpf(t))
-    # 21 ulps at |t| = 0.1, just above the series
-    assert float(_h(np.array([t]))[0]) == pytest.approx(want, rel=5e-15, abs=0)
+@pytest.mark.parametrize("name", sorted(PRESET_MASSES))
+def test_linear_decay_follows_from_the_cubic_term(name):
+    # well above the masses 1 + f ~ -l3 (k/m)^6 and D ~ -l3 k^6 / m^4, so the
+    # mass-type integrand k m sqrt(1 + f) / D is m^2 / (sqrt(|l3|) k^2) and
+    # the increments are m^2 (1/a - 1/b) / sqrt(|l3|)
+    masses = MassTriple.from_values(PRESET_MASSES[name])
+    spectrum = fit_masses(masses)
+    cutoffs = 1e3 * masses.m3 * 2.0 ** np.arange(6)
+    result = loop_integral(spectrum.base_mass, spectrum, cutoffs,
+                           variants=("modified-mass",))
+    l3, m = spectrum.coefficients.lambda3, spectrum.base_mass
+    leading = m ** 2 * (1.0 / cutoffs[:-1] - 1.0 / cutoffs[1:]) / math.sqrt(-l3)
+    np.testing.assert_allclose(result.increments["modified-mass"], leading,
+                               rtol=1e-5)
+    fit = result.tail_fits["modified-mass"]
+    assert fit.decay_exponent == pytest.approx(-1.0, abs=1e-5)
