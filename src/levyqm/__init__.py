@@ -22,7 +22,6 @@ from .densities import (
 )
 from .evolution import (
     Observables,
-    StabilityError,
     WaveFunction,
     evolve_jump_quadrature,
     evolve_modified,

@@ -29,11 +29,12 @@ integro-differential form
 
     d/dt psi = (i/tau) int [psi(x+y) - psi(x)] W(y) dy,
 
-discretized here as an explicit Euler step with cell-integrated kernel
-weights and the sub-cell jump core folded into an effective diffusion,
-applied as one circular convolution by FFT; its single-step agreement
-with the spectral propagator is the numerical equivalence of the two
-forms.
+discretized here with cell-integrated kernel weights and the sub-cell
+jump core folded into an effective diffusion: one circular convolution,
+whose real DFT S is the quadrature's symbol.  Its step is then the same
+unitary multiply, psi_hat -> exp(i dt S / tau) psi_hat, so the two forms
+advance psi alike at any dt, and their difference after one step is the
+symbol error of the kernel quadrature alone.
 
 Boundary conditions are periodic (discrete transform); packets must
 keep negligible boundary amplitude, which is checked.
@@ -48,27 +49,23 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .densities import GridError, GridSpec, levy_density_1d
-from .exponents import ExponentParams, LogCharacteristic, eta_relativistic
+from .exponents import ExponentParams, LogCharacteristic
 from .spectrum import SpectrumSolution
 
-JUMP_STABILITY_FACTOR = 1e-3
 BOUNDARY_TAIL = 1e-12
-
-
-class StabilityError(ValueError):
-    """Explicit jump step outside its stability regime."""
 
 
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex amplitudes on a grid, unit norm (sum |psi|^2 dx = 1).
 
-    Spectral steps preserve the norm to rounding (< 1e-10 drift over
-    thousands of steps); the explicit jump step carries its documented
-    O(dt^2) drift, so the construction gate here is 1e-7, and a NaN
-    norm fails it.  ``values`` must be read-only, since ``transform``
-    and ``density`` are computed once and kept; ``from_samples`` and
-    ``from_transform`` make such a copy.
+    Every step is a unitary multiply in momentum space and keeps the
+    norm to rounding (< 1e-10 drift over thousands of steps), so the
+    construction gate, 1e-7, is far above any run's drift and refuses
+    only a field that was never normalized or a multiplier that is not
+    unitary; a NaN norm fails it too.  ``values`` must be read-only,
+    since ``transform`` and ``density`` are computed once and kept;
+    ``from_samples`` and ``from_transform`` make such a copy.
     """
 
     grid: GridSpec
@@ -99,14 +96,13 @@ class WaveFunction:
         return transform
 
     @classmethod
-    def from_samples(cls, grid: GridSpec, values, normalize: bool = True):
+    def from_samples(cls, grid: GridSpec, values):
+        """The wave function of ``values`` divided by their norm."""
         values = np.asarray(values, dtype=complex)
-        if normalize:
-            norm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
-            if norm == 0.0:
-                raise ValueError("cannot normalize a zero field")
-            values = values / norm
-        values = values.copy()
+        norm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
+        if norm == 0.0:
+            raise ValueError("cannot normalize a zero field")
+        values = values / norm
         values.setflags(write=False)
         return cls(grid=grid, values=values)
 
@@ -137,16 +133,13 @@ class Observables:
 
 @dataclass(frozen=True)
 class JumpStepReport:
-    """Documented error budget of one explicit jump step.
+    """The kernel quadrature behind one jump step.
 
-    euler_bound:  O(dt^2) bound on the L2 deviation from the exact
-                  propagator, (dt |eta|_sup / tau)^2 / 2
     kernel_tail:  jump mass discarded beyond the truncation radius
     cells:        one-sided number of kernel cells
     y_max:        truncation radius
     """
 
-    euler_bound: float
     kernel_tail: float
     cells: int
     y_max: float
@@ -200,11 +193,8 @@ def observables(psi: WaveFunction) -> Observables:
 PHASE_ROUNDING_MAX = 1e-10
 
 
-@lru_cache(maxsize=8)
-def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
-    """exp(i dt eta(u) / tau) on the grid's FFT frequencies, read-only."""
-    _, u = _axes(grid)
-    phase = (dt / tau) * np.asarray(eta(u), dtype=float)
+def _unitary_multiplier(dt: float, phase):
+    """exp(i phase) of a step dt, read-only, if its phases are resolved."""
     rounding = float(np.max(np.abs(phase))) * 2.0 ** -52
     if rounding > PHASE_ROUNDING_MAX:  # a NaN dt is left to the norm gate
         raise ValueError(
@@ -214,6 +204,13 @@ def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
     multiplier = np.exp(1j * phase)
     multiplier.setflags(write=False)
     return multiplier
+
+
+@lru_cache(maxsize=8)
+def _spectral_multiplier(grid: GridSpec, dt: float, eta, tau: float):
+    """exp(i dt eta(u) / tau) on the grid's FFT frequencies, read-only."""
+    _, u = _axes(grid)
+    return _unitary_multiplier(dt, (dt / tau) * np.asarray(eta(u), dtype=float))
 
 
 def evolve_spectral(psi: WaveFunction, dt: float, eta, tau: float) -> WaveFunction:
@@ -248,7 +245,7 @@ def evolve_modified(psi: WaveFunction, dt: float, spectrum: SpectrumSolution,
 
 
 # ---------------------------------------------------------------------------
-# direct jump-quadrature step
+# jump-quadrature step
 # ---------------------------------------------------------------------------
 
 _GL4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
@@ -299,31 +296,24 @@ def _jump_kernel(grid: GridSpec, params: ExponentParams):
     return symbol, jmax, float(tail)
 
 
+@lru_cache(maxsize=8)
+def _jump_multiplier(grid: GridSpec, params: ExponentParams, dt: float):
+    """exp(i dt S / tau) for the jump symbol S on the grid, read-only."""
+    symbol, _, _ = _jump_kernel(grid, params)
+    return _unitary_multiplier(dt, (dt / params.tau) * symbol)
+
+
 def evolve_jump_quadrature(psi: WaveFunction, dt: float,
                            params: ExponentParams):
-    """One explicit Euler step of the integro-differential jump form.
+    """One step of the jump form: multiply psi_hat by exp(i dt S / tau).
 
-    The cell-weight kernel is applied as one circular convolution by
-    FFT.  Requires dt <= 1e-3 tau.  Returns (new_psi, JumpStepReport);
-    the report carries the documented O(dt^2) and kernel-truncation
-    bounds.
+    S is the real symbol of the cell-weight kernel, so the step is
+    unitary at any dt, and like ``evolve_spectral`` it keeps the product
+    as the new transform.  Returns (new_psi, JumpStepReport); the report
+    carries the kernel's truncation.
     """
-    if dt > JUMP_STABILITY_FACTOR * params.tau:
-        raise StabilityError(
-            f"dt = {dt:g} exceeds the explicit-step stability bound "
-            f"{JUMP_STABILITY_FACTOR:g} tau = {JUMP_STABILITY_FACTOR * params.tau:g}")
-
-    symbol, jmax, tail = _jump_kernel(psi.grid, params)
-    jump = np.fft.ifft(symbol * psi.transform)
-
-    new_values = psi.values + 1j * (dt / params.tau) * jump
-
-    eta_sup = abs(eta_relativistic(psi.grid.u_max, params))
-    report = JumpStepReport(
-        euler_bound=0.5 * ((dt / params.tau) * eta_sup) ** 2,
-        kernel_tail=tail,
-        cells=jmax,
-        y_max=jmax * psi.grid.dx,
-    )
-    new_psi = WaveFunction.from_samples(psi.grid, new_values, normalize=False)
-    return new_psi, report
+    _, jmax, tail = _jump_kernel(psi.grid, params)
+    multiplier = _jump_multiplier(psi.grid, params, dt)
+    report = JumpStepReport(kernel_tail=tail, cells=jmax,
+                            y_max=jmax * psi.grid.dx)
+    return WaveFunction.from_transform(psi.grid, multiplier * psi.transform), report

@@ -194,7 +194,10 @@ def _loop_integrand(t, m, pE, coefficients, mass_type):
     below m, 1 + f = Q(s) = 1 - l1 s + l2 s^2 - l3 s^3 and D = m^2 (s + Q);
     above, 1 + f = P(s)/s^3, P(s) = s^3 - l1 s^2 + l2 s - l3, and
     D = k^2 (s^2 + P)/s^2, or k^2 (1 + s) without the cutoff (coefficients
-    None).  Every term stays finite up to LOOP_K_MAX.
+    None).  When P's j trailing coefficients vanish (j = 1 for l3 = 0,
+    j = 2 for l2 = l3 = 0), P = s^j P_j and the above-m numerator and
+    denominator are divided by s^j, which would otherwise underflow to
+    0/0.  Every term stays finite up to LOOP_K_MAX.
     """
     x = t - math.log(m)
     above = x > 0.0
@@ -205,11 +208,21 @@ def _loop_integrand(t, m, pE, coefficients, mass_type):
         numer = m * lead if mass_type else lead
     else:
         l1, l2, l3 = coefficients
-        lead = np.where(above, s * s, s)
-        rest = np.where(above, ((s - l1) * s + l2) * s - l3,
-                        1.0 + s * (-l1 + s * (l2 - s * l3)))
-        # m sqrt(1 + f) k^2/D; above m, sqrt(P/s^3) s^2 is sqrt(P) r
-        numer = m * np.sqrt(rest) * np.where(above, r, s) if mass_type else lead
+        j = 2 if l2 == l3 == 0.0 else 1 if l3 == 0.0 else 0
+        p = s - l1  # P_j(s) by Horner, P's coefficients 1, -l1, l2, -l3
+        for c in (l2, -l3)[:2 - j]:
+            p = p * s + c
+        # above m, s^2/s^j and m sqrt(P/s^3) s^2/s^j = m sqrt(P_j) r^(1-j)
+        if j == 0:
+            lead_above, root_above = s * s, r
+        elif j == 1:
+            lead_above, root_above = s, 1.0
+        else:
+            lead_above, root_above = 1.0, np.exp(np.maximum(x, 0.0))  # 1/r
+        lead = np.where(above, lead_above, s)
+        rest = np.where(above, p, 1.0 + s * (-l1 + s * (l2 - s * l3)))
+        numer = (m * np.sqrt(rest) * np.where(above, root_above, s) if mass_type
+                 else lead)
     # exp(2 min(0, .)) is (k/pE)^2 below pE and never overflows
     return numer / (lead + rest) * np.exp(2.0 * np.minimum(0.0, t - math.log(pE)))
 
@@ -295,6 +308,11 @@ def loop_integral(pE: float, spectrum: SpectrumSolution, cutoffs,
         raise ValueError("need at least two positive cutoffs")
     if np.any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be strictly increasing")
+    same = np.flatnonzero(np.diff(np.log(cutoffs)) <= 0)
+    if same.size:
+        lo, hi = cutoffs[same[0]], cutoffs[same[0] + 1]
+        raise ValueError(f"cutoffs {lo:.17g} and {hi:.17g} have one logarithm; log-k "
+                         "quadrature cannot resolve the gap between them")
     unknown = set(variants) - set(LOOP_VARIANTS)
     if unknown:
         raise ValueError(f"unknown loop variants: {sorted(unknown)}")

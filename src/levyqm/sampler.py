@@ -21,18 +21,15 @@ under sums (Tweedie 1957), and here lam/mu^2 = 1/a^2 at every dt, so the
 n step clocks of a path add up to one IG draw of the time-T clock; with
 sqrt(S_1) Z_1 + ... + sqrt(S_n) Z_n ~ sqrt(S_1 + ... + S_n) Z, a tile
 draws X(T) = sqrt(S(T)) Z with one clock and one normal per path,
-whatever the step count.  Memory is O(workers x TILE), and since every
-tile draws from its own stream, the tiles can run on a thread pool (one
-worker per usable core) and the output bytes do not depend on the worker
-count.  TILE is part of this stream layout.
+whatever the step count.  The tiles run in order on the calling thread,
+so memory is O(TILE) beyond the output.  TILE is part of this stream
+layout.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,13 +173,6 @@ def _increments(mean, shape, rng, size):
     return np.sqrt(clock) * rng.standard_normal(size)
 
 
-def _worker_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _check_run(T: float, steps: int, n_paths: int) -> None:
     if T <= 0:
         raise ValueError(f"horizon must be positive (got T = {T})")
@@ -248,8 +238,7 @@ def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
     One time-T clock S(T) and one normal per path (the step clocks sum to
     S(T) in law), so `steps` (at least 1) changes neither the law nor the
     bytes.  Tile b of TILE paths draws from the SeededGenerator's Philox
-    jumped b times; from four tiles' worth of paths on, the tiles run on a
-    thread pool.
+    jumped b times.
     """
     if not isinstance(g, SeededGenerator):
         raise TypeError("sample_endpoints draws its tiles from jumped (seed, "
@@ -261,17 +250,8 @@ def sample_endpoints(T: float, params: ExponentParams, g, n_paths: int,
     first = g.generator()
     rngs = [first] + [np.random.Generator(first.bit_generator.jumped(b))
                       for b in range(1, len(tiles))]
-
-    def run(rng, tile):
+    for rng, tile in zip(rngs, tiles):
         tile[:] = _increments(mean, shape, rng, tile.shape)
-
-    # Below about four tiles, starting the threads costs more than they save.
-    workers = min(len(tiles), _worker_count()) if n_paths >= 4 * TILE else 1
-    if workers == 1:
-        list(map(run, rngs, tiles))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, rngs, tiles))
     return out
 
 

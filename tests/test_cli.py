@@ -332,6 +332,11 @@ EDGE_INPUTS = [
      "cutoff 1e+160 overflows k^2; the largest accepted is 1.341e+154"),
     (["loop", "--preset", "table3", "--octaves", "600"],
      "overflows k^2; the largest accepted is 1.341e+154"),
+    # both cutoffs have one logarithm: the segment between them read 0
+    (["loop", "--preset", "table3", "--variant", "scalar", "--cutoffs",
+      "1e10,1.0000000000000002e10"],
+     "cutoffs 10000000000 and 10000000000.000002 have one logarithm; log-k "
+     "quadrature cannot resolve the gap between them"),
     # the modified-scalar segment is ~1e-500, below every double
     (["loop", "--preset", "table3", "--pe", "1e150", "--cutoffs", "1e100,1e150"],
      "modified-scalar on [1e+100, 1e+150] reads 0, not a finite non-zero double"),
@@ -445,6 +450,25 @@ def test_overflow_fails_with_one_line(tmp_path, capfd, argv, start):
     assert err.startswith(start)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # s^2 and s^3 underflowed in the above-m form: 0/0, a numpy
+    # RuntimeWarning and "reads nan" (exit 2)
+    ["--cutoffs", "1e80,1e90"],
+    # sqrt(s^3) underflowed above k ~ 1e51 m: "needs over 131072 pieces"
+    ["--variant", "mass", "--cutoffs", "1e3,1e10,1e60"],
+], ids=["scalar", "mass"])
+def test_loop_without_a_cutoff_polynomial_is_the_unmodified_loop(tmp_path, capfd,
+                                                                  argv):
+    out = tmp_path / "loop.csv"
+    assert main(["loop", "--lambdas=0,0,0", "--mass", "1", *argv,
+                 "-o", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    columns = read_csv_columns(out)
+    kind = "mass" if "mass" in argv else "scalar"
+    np.testing.assert_allclose(columns[f"modified_{kind}"],
+                               columns[f"unmodified_{kind}"], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("pe", ["1e-161", "5e-324"])

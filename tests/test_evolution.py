@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from levyqm import ExponentParams, LogCharacteristic, eta_relativistic
 from levyqm import evolution, exponents
 from levyqm.densities import GridError, GridSpec, levy_density_1d
-from levyqm.evolution import (StabilityError, WaveFunction,
-                              evolve_jump_quadrature, evolve_modified,
-                              evolve_spectral, gaussian_packet, observables)
+from levyqm.evolution import (WaveFunction, evolve_jump_quadrature,
+                              evolve_modified, evolve_spectral,
+                              gaussian_packet, observables)
 from levyqm.spectrum import lambdas_from_roots, masses_from_lambdas
 
 UNIT = ExponentParams.from_mass(1.0)
@@ -60,7 +61,7 @@ def test_wavefunction_norm_gate_rejects_nan():
     # abs(nan - 1) > 1e-7 is False: a NaN norm passed the old gate
     grid = packet_grid()
     with pytest.raises(ValueError, match="norm nan deviates from 1"):
-        WaveFunction.from_samples(grid, np.full(grid.n, np.nan), normalize=False)
+        WaveFunction(grid=grid, values=np.full(grid.n, np.nan + 0j))
     with pytest.raises(ValueError, match="norm nan deviates from 1"):
         evolve_spectral(gaussian_packet(0.0, 0.0, 1.0, grid), math.nan, ETA,
                         UNIT.tau)
@@ -81,7 +82,7 @@ def test_writable_values_cannot_leave_a_stale_transform():
     values = gaussian_packet(0.0, 1.0, 1.0, grid).values.copy()
     with pytest.raises(ValueError, match="read-only"):
         WaveFunction(grid=grid, values=values)
-    psi = WaveFunction.from_samples(grid, values, normalize=False)
+    psi = WaveFunction.from_samples(grid, values)
     before = psi.transform.copy()
     values *= 1j
     with pytest.raises(ValueError, match="read-only"):
@@ -201,10 +202,8 @@ def test_nonrelativistic_limit_matches_gaussian_part():
 # jump-quadrature step
 # ---------------------------------------------------------------------------
 
-def test_jump_step_stability_guard():
-    psi = gaussian_packet(0.0, 0.0, 1.0, packet_grid())
-    with pytest.raises(StabilityError):
-        evolve_jump_quadrature(psi, 0.1, UNIT)
+def l2_norm(values, grid):
+    return math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
 
 
 def test_jump_step_constant_field_unchanged():
@@ -220,17 +219,31 @@ def test_jump_step_matches_spectral():
     dt = 1e-4 * UNIT.tau
     jumped, report = evolve_jump_quadrature(psi, dt, UNIT)
     spectral = evolve_spectral(psi, dt, ETA, UNIT.tau)
-    l2 = math.sqrt(float(np.sum(np.abs(jumped.values - spectral.values) ** 2)
-                         * psi.grid.dx))
-    assert l2 < 1e-5
+    assert l2_norm(jumped.values - spectral.values, psi.grid) < 2e-6
     assert report.cells > 100
-    assert report.euler_bound < 1e-4
 
 
 def test_jump_step_norm_drift():
     psi = gaussian_packet(0.0, 0.0, 1.0, packet_grid())
     jumped, _ = evolve_jump_quadrature(psi, 1e-4 * UNIT.tau, UNIT)
-    assert abs(observables(jumped).norm - 1.0) < 1e-8
+    assert abs(observables(jumped).norm - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("dt_over_tau", [1.0, 10.0])
+def test_jump_step_is_unitary_and_reversible_at_any_dt(dt_over_tau):
+    psi = gaussian_packet(1.5, 3.0, 1.0, packet_grid())
+    dt = dt_over_tau * UNIT.tau
+    forward, _ = evolve_jump_quadrature(psi, dt, UNIT)
+    assert abs(observables(forward).norm - 1.0) < 1e-14
+    assert np.max(np.abs(forward.values - psi.values)) > 0.1
+    back, _ = evolve_jump_quadrature(forward, -dt, UNIT)
+    assert np.max(np.abs(back.values - psi.values)) < 1e-14
+
+
+def test_jump_step_refuses_an_unresolved_phase():
+    psi = gaussian_packet(0.0, 0.0, 1.0, packet_grid())
+    with pytest.raises(ValueError, match=r"exceeds 1e-10 rad; use dt <= "):
+        evolve_jump_quadrature(psi, 1e7 * UNIT.tau, UNIT)
 
 
 def roll_sum_jump_step(psi, dt, params, cells):
@@ -261,13 +274,18 @@ def test_jump_step_matches_roll_sum(n, dx, cells):
     stepped, report = evolve_jump_quadrature(psi, dt, UNIT)
     assert report.cells == cells
     want = roll_sum_jump_step(psi, dt, UNIT, cells)
-    reference = psi.values + want
-    assert (np.max(np.abs(stepped.values - reference))
-            < 1e-12 * np.max(np.abs(reference)))
-    # the increment alone: storing psi + increment rounds it by
-    # eps |psi| / |increment| ~ 1e-12 of itself, hence the looser gate
-    got = stepped.values - psi.values
-    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+    # the generator: i (dt/tau) ifft(S psi_hat) is the roll sum
+    symbol, _, _ = evolution._jump_kernel(grid, UNIT)
+    got = 1j * (dt / UNIT.tau) * np.fft.ifft(symbol * psi.transform)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    # the step: |exp(i x) - 1 - i x| <= x^2 / 2, so it is within half the
+    # roll sum applied twice, |(dt S / tau)^2 psi| / 2, of the Euler step
+    # (1 % over it for rounding), and so within (dt max|S| / tau)^2 / 2
+    euler = l2_norm(stepped.values - (psi.values + want), grid)
+    twice = roll_sum_jump_step(SimpleNamespace(grid=grid, values=want), dt,
+                               UNIT, cells)
+    assert euler < 1.01 * 0.5 * l2_norm(twice, grid)
+    assert euler < 0.5 * (dt / UNIT.tau * np.max(np.abs(symbol))) ** 2
 
 
 # ---------------------------------------------------------------------------

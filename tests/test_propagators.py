@@ -263,6 +263,22 @@ def test_loop_mass_numerator_not_real():
     assert np.all(np.isfinite(result.values["modified-scalar"]))
 
 
+@pytest.mark.parametrize("vanishing, nearby", [
+    ((-0.5, 0.1, 0.0), (-0.5, 0.1, -1e-30)),
+    ((-0.5, 0.0, 0.0), (-0.5, 1e-40, 0.0)),
+])
+def test_loop_with_vanishing_trailing_lambdas_is_continuous(vanishing, nearby):
+    # l3 = 0 (and l2 = 0) divide the above-m form by s (by s^2); a cubic
+    # term too small to matter below 1e4 must give the same loop
+    cutoffs = [10.0, 100.0, 1e4]
+    variants = ("modified-scalar", "modified-mass")
+    got, want = (loop_integral(1.0, masses_from_lambdas(CutoffPolynomial(*c), 1.0),
+                               cutoffs, variants) for c in (vanishing, nearby))
+    for variant in variants:
+        np.testing.assert_allclose(got.values[variant], want.values[variant],
+                                   rtol=1e-13, atol=0)
+
+
 def test_loop_validation_errors(table3):
     spectrum, masses = table3
     with pytest.raises(ValueError):

@@ -290,20 +290,6 @@ def test_tile_b_draws_from_philox_jumped_b_times():
     assert ends.tobytes() == one_step.tobytes()
 
 
-def test_output_does_not_depend_on_worker_count(monkeypatch):
-    # past four tiles' worth of paths, so the thread pool starts
-    args = (1.0, UNIT, SeededGenerator(8, 1), 4 * TILE + 17)
-    pools, pool = [], sampler.ThreadPoolExecutor
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor",
-                        lambda n: pools.append(n) or pool(n))
-    runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(sampler, "_worker_count", lambda w=workers: w)
-        runs[workers] = sample_endpoints(*args, steps=4).tobytes()
-    assert runs[1] == runs[2]
-    assert pools == [2]
-
-
 def test_endpoint_memory_is_bounded():
     tracemalloc.start()
     try:
