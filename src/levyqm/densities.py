@@ -215,7 +215,7 @@ def levy_density_1d(x, params: ExponentParams):
     if (x_arr == 0.0).any():
         raise ValueError("jump kernel is singular at x = 0")
     ax = np.abs(x_arr)
-    out = _jump_kernel(1, ax, params, lambda: math.pi * ax)
+    out = _jump_kernel(1, ax, params, lambda r: math.pi * r)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -225,25 +225,47 @@ def levy_density_3d(r, params: ExponentParams):
     if (r_arr <= 0.0).any():
         raise ValueError("radial jump kernel requires r > 0")
     out = _jump_kernel(2, r_arr, params,
-                       lambda: 2.0 * params.a * math.pi ** 2 * r_arr ** 2)
+                       lambda r: 2.0 * params.a * math.pi ** 2 * r ** 2)
     return float(out) if np.ndim(r) == 0 else out
 
 
 def _jump_kernel(order: int, r, params: ExponentParams, denominator):
-    """K_order(r/a) / denominator(), or a ValueError naming the radius below
+    """K_order(r/a) / denominator(r), or a ValueError naming the radius below
     which it overflows.
 
     K1(z) < 1/z and K2(z) < 2/z^2, so W1 < a/(pi r^2) and W3 < a/(pi^2 r^4):
     the kernel of order n stays finite for r >= (a / (pi^n DBL_MAX))^(1/2n)
-    wherever ``bessel_k`` does.
+    wherever ``bessel_k`` does.  Where the denominator (2a)^(n-1) (pi r)^n
+    is not a normal double, or K_order(r/a) is not and the denominator is
+    below 1 (at extreme masses), the quotient would read 0/0, x/inf or a
+    subnormal's few digits; there the kernel is exp(log K - log
+    denominator), with log K = log kve(n, z) - z (z = r/a) where K
+    underflows.
     """
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
     with np.errstate(all="ignore"):
         try:
-            out = bessel_k(order, r / params.a) / denominator()
+            k = bessel_k(order, r / params.a)
         except ValueError:
             if not np.isfinite(r).all():
                 raise
-            out = np.inf  # K_order(r/a) itself overflows
+            k = np.inf  # K_order(r/a) itself overflows
+        d = np.asarray(denominator(r))
+        # K_order(z) is subnormal from z ~ 705, and the denominator grows
+        # with r; a subnormal K over d >= 1 is as exact as a subnormal can be
+        inexact = False
+        if d.max() > big or d.min() < tiny or denominator(700.0 * params.a) < 1.0:
+            inexact = (d < tiny) | (d > big) | ((k < tiny) & (d < 1.0))
+        out = np.divide(k, d, out=d)
+        if np.any(inexact):
+            from scipy import special
+            z, k = r[inexact] / params.a, np.broadcast_to(k, out.shape)[inexact]
+            # kve reads nan from z ~ 4e9, where the kernel is 0 by far
+            log_k = np.where(k >= tiny, np.log(k),
+                             np.log(special.kve(order, np.minimum(z, 1e8))) - z)
+            log_d = (order * (math.log(math.pi) + np.log(r[inexact]))
+                     + (order - 1) * (math.log(2.0) + math.log(params.a)))
+            out[inexact] = np.exp(log_k - log_d)
     if not np.isfinite(out).all():
         root = 0.5 / order
         r_min = max((params.a / math.pi ** order) ** root / np.finfo(float).max ** root,

@@ -12,15 +12,12 @@ inverse map from three roots to the coefficients is closed form
 
     l1 = 1 - sum 1/x_i,   l2 = sum_{i<j} 1/(x_i x_j),   l3 = -1/(x1 x2 x3).
 
-The forward solve takes one root from the closed-form cubic on a
-magnitude-rescaled variable and the other two from the quadratic left by
-deflation, then polishes each by Newton's method on g(x) - 1 in the
-original variable, with the residual evaluated exactly.  The rescaling
-matters because realistic coefficient sets span l3 ~ 1e-16 against
-roots ~ 1e10, where the raw closed form loses most of its digits to
-cancellation; the deflation and the exact residual matter for nearly
-coincident roots, which the closed form merges or displaces and plain
-Newton cannot resolve.
+The forward solve brackets every real root between the critical points
+of g (the roots of the quadratic g') and a root bound by the sign of the
+exact residual g(x) - 1, which nearly coincident roots need, and finds
+it by Newton's method from a ``numpy.roots`` seed (of the polynomial
+rescaled by the bound, for l3 ~ 1e-16 against roots ~ 1e10), bisecting
+whenever a step leaves the bracket.
 
 A spectrum is one ``SpectrumSolution``: coefficients, base mass, roots,
 masses and residues.  It has two constructors,
@@ -40,6 +37,7 @@ import numpy as np
 DEGENERATE_GPRIME = 1e-12
 NEAR_COINCIDENT_RATIO = 1e-6
 ROOT_CERTIFICATE = 1e-9
+EPS = np.finfo(float).eps
 
 
 class NearDegenerateRootsWarning(UserWarning):
@@ -93,8 +91,8 @@ class SpectrumSolution:
     Built only by ``masses_from_lambdas`` and ``fit_masses``, and handed
     as is to every consumer (poles, loop cut points, mass branches), so
     a run solves its spectrum once.  Complex-conjugate root pairs are
-    reported through ``n_complex`` and the (sign-faithful,
-    magnitude-rescaled) ``discriminant``; degenerate roots set
+    reported through ``n_complex`` and the ``discriminant`` (exact, then
+    rounded; +-inf past the doubles); degenerate roots set
     ``degenerate`` and leave their residue as NaN.
     """
 
@@ -208,7 +206,7 @@ def _warn_near_coincident(roots):
 
 
 def _residual(x: float, c: CutoffPolynomial) -> float:
-    """g(x) - 1 exactly, rounded once.
+    """g(x) - 1 exactly, rounded once (to +-inf beyond the doubles).
 
     Every double is an integer over a power of two, so the sum is exact
     in integers.  Plain evaluation stalls Newton wherever the rounding of
@@ -224,115 +222,111 @@ def _residual(x: float, c: CutoffPolynomial) -> float:
             num, den = num * (td // den) - tn, td
         else:
             num -= tn * (den // td)
-    return num / den
+    return _ratio(num, den)
 
 
-def _newton_polish(x: float, c: CutoffPolynomial, iters: int = 40) -> float:
-    for _ in range(iters):
-        df = g_prime(x, c)
-        if df == 0.0:
-            break
-        step = _residual(x, c) / df
-        limit = 0.5 * abs(x) + 1.0
-        step = max(-limit, min(limit, step))
-        x -= step
-        if abs(step) <= np.finfo(float).eps * abs(x):
-            break
-    return x
+def _ratio(num: int, den: int) -> float:
+    """num / den for den > 0, rounded once; +-inf beyond the doubles."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
-def _solve_cubic_scaled(c: CutoffPolynomial):
-    """Real roots of l3 x^3 + l2 x^2 + (l1-1) x + 1 = 0, closed form.
-
-    The sign of the depressed-cubic invariant -4p^3 - 27q^2 of the
-    rescaled monic polynomial picks the formula; near-coincident roots
-    can give it the wrong sign.
-    """
-    l1, l2, l3 = c.lambda1, c.lambda2, c.lambda3
-    s = abs(l3) ** (1.0 / 3.0)
-    # monic in y = x*s: y^3 + B y^2 + C y + D, D = sign(l3)
-    b_coef = (l2 / l3) * s
-    c_coef = ((l1 - 1.0) / l3) * s * s
-    d_coef = math.copysign(1.0, l3)
-
-    p = c_coef - b_coef * b_coef / 3.0
-    q = (2.0 * b_coef ** 3) / 27.0 - b_coef * c_coef / 3.0 + d_coef
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-
-    if disc > 0.0:
-        # three real roots, trigonometric form (p < 0 here)
-        r = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * r)
-        arg = max(-1.0, min(1.0, arg))
-        theta = math.acos(arg)
-        ts = [r * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    elif disc == 0.0:
-        # multiple real roots: triple at 0 when p = 0, else double + simple
-        if p == 0.0:
-            ts = [0.0, 0.0, 0.0]
-        else:
-            ts = [3.0 * q / p, -1.5 * q / p, -1.5 * q / p]
-    else:
-        # one real root; Cardano with the larger-magnitude cube root to
-        # dodge cancellation
-        rad = math.sqrt(-disc / 108.0)
-        if q >= 0.0:
-            u = -_cbrt(0.5 * q + rad)
-        else:
-            u = _cbrt(-0.5 * q + rad)
-        v = 0.0 if u == 0.0 else -p / (3.0 * u)
-        ts = [u + v]
-
-    return [(t - b_coef / 3.0) / s for t in ts]
+def _discriminant(c: CutoffPolynomial):
+    """l_n^2 prod_{i<j} (x_i - x_j)^2 over the roots of g(x) = 1 (l_n the
+    leading coefficient) as exact integers (numerator, denominator), the
+    latter 0 below degree 2: its sign counts the real roots however close."""
+    (n1, d1), (n2, d2), (n3, d3) = (v.as_integer_ratio() for v in c.as_tuple())
+    d = max(d1, d2, d3)  # the common denominator, a power of two
+    a, b, k = n3 * (d // d3), n2 * (d // d2), (n1 - d1) * (d // d1)
+    delta = (b * b * k * k - 4 * a * k ** 3 - 4 * b ** 3 * d
+             - 27 * a * a * d * d + 18 * a * b * k * d)
+    return delta, ((a or b) * d) ** 2
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+def _critical_points(a1: float, a2: float, a3: float) -> list:
+    """Real roots of g' = a1 + 2 a2 x + 3 a3 x^2, ascending, a double one
+    twice, by the form that does not cancel, with a2^2 - 3 a1 a3 formed
+    from frexp mantissas and h halved, so that neither leaves the doubles."""
+    (m1, e1), (m2, e2), (m3, e3) = map(math.frexp, (a1, a2, a3))
+    top = max((k for m, k in ((m2, 2 * e2), (m1 * m3, e1 + e3)) if m), default=0)
+    top += top % 2
+    d = math.ldexp(m2 * m2, 2 * e2 - top) - math.ldexp(3.0 * m1 * m3, e1 + e3 - top)
+    if d < 0.0 or not (a2 or a3):
+        return []
+    h = -(0.5 * a2 + math.copysign(math.ldexp(math.sqrt(d), top // 2 - 1), a2))
+    return sorted([h / a3 / 1.5, 0.5 * a1 / h if h else 0.0]) if a3 else [0.5 * a1 / h]
+
+
+def _root_in(c: CutoffPolynomial, lo: float, hi: float, x: float, rising) -> float:
+    """The root of g(x) = 1 in [lo, hi], across which the residual changes
+    sign (upwards when ``rising``): Newton's method from x, bisecting
+    whenever a step leaves the bracket, until a step moves x by an ulp."""
+    while True:
+        r = _residual(x, c)
+        if r == 0.0:
+            return x
+        lo, hi = (lo, x) if (r > 0.0) == rising else (x, hi)
+        slope = g_prime(x, c)
+        new = x - r / slope if 0.0 < abs(slope) < math.inf else math.nan
+        if not lo <= new <= hi:
+            new = 0.5 * lo + 0.5 * hi
+        if abs(new - x) <= EPS * abs(new):
+            return new
+        x = new
 
 
 def _real_roots(c: CutoffPolynomial):
-    """(roots, discriminant, n_complex) of g(x) = 1, uncertified.
+    """(roots, discriminant, n_complex, multiple) of g(x) = 1, any degree.
 
-    Closed form, deflation, Newton polishing.  Complex-conjugate pairs
-    are reported as absent (``n_complex``) with the discriminant
-    attached; a vanished leading coefficient reduces the degree instead
-    of failing.
+    p(x) = g(x) - 1 = sum a_k x^k is monotone between its critical points,
+    and its roots lie inside B = 2^e > 2 max |a_k / a_n|^(1/(n-k))
+    (Fujiwara).  A piece of [-B, B] between them holds a root where the
+    exact residual changes sign; a critical point where it is 0 (nearest
+    0, if the discriminant is) holds the rest of the discriminant's count.
     """
-    l1, l2, l3 = c.lambda1, c.lambda2, c.lambda3
-
-    if l3 == 0.0 and l2 == 0.0:
-        return ([] if l1 == 1.0 else [1.0 / (1.0 - l1)]), None, 0
-
-    if l3 == 0.0:
-        # l2 x^2 + (l1-1) x + 1 = 0, stable two-root formula
-        disc = (l1 - 1.0) ** 2 - 4.0 * l2
-        if disc < 0.0:
-            return [], disc, 2
-        sq = math.sqrt(disc)
-        b = l1 - 1.0
-        qq = -0.5 * (b + math.copysign(sq, b))
-        return [_newton_polish(x, c) for x in (qq / l2, 1.0 / qq)], disc, 0
-
-    # One root from the closed form, the best-conditioned one; the other
-    # two from the quadratic left by dividing it out.  Near-coincident
-    # roots, which the closed form merges or displaces, stay apart there.
-    raw = _solve_cubic_scaled(c)
-    r = _newton_polish(max(raw, key=lambda x: abs(g_prime(x, c) * x)), c)
-    # the other roots' product and sum, by whichever Vieta relation
-    # does not cancel against r
-    prod = -1.0 / (l3 * r)
-    if r * r > abs(prod):
-        total = ((l1 - 1.0) / l3 - prod) / r
-    else:
-        total = -l2 / l3 - r
-    disc_q = total * total - 4.0 * prod
-    # discriminant of the monic cubic in x |l3|^(1/3), with a, b the other
-    # roots: l3^2 disc_q ((r - a)(r - b))^2
-    disc = l3 * l3 * disc_q * ((r - total) * r + prod) ** 2
-    if disc_q < 0.0:
-        return [r], disc, 2
-    big = 0.5 * (total + math.copysign(math.sqrt(disc_q), total))
-    return [r, _newton_polish(big, c), _newton_polish(prod / big, c)], disc, 0
+    a = [-1.0, 1.0 - c.lambda1, -c.lambda2, -c.lambda3]
+    while a[-1] == 0.0:
+        a.pop()
+    n = len(a) - 1
+    lead = math.log2(abs(a[n]))
+    e = 2 + math.floor(max(((math.log2(abs(v)) - lead) / (n - k)
+                            for k, v in enumerate(a[:n]) if v), default=0.0))
+    if e > 1023:
+        raise ValueError(f"the roots of g(x) = 1 at lambdas {c.as_tuple()} "
+                         f"are bounded only by 2^{e}, beyond the doubles")
+    # p(2^e y) / (a_n 2^(e n)) is monic with its roots inside |y| < 1
+    mn, en = math.frexp(a[n])
+    q = [math.ldexp(m / mn, ek - en - e * (n - k))
+         for k, (m, ek) in enumerate(map(math.frexp, a))]
+    seeds = [math.ldexp(y, e) for y in np.roots(q[n::-1]).real.tolist()]
+    crit = _critical_points(*(a + [0.0] * (3 - n))[1:])
+    ends = [-math.ldexp(1.0, e), *crit, math.ldexp(1.0, e)]
+    sign = math.copysign(1.0, a[n])  # of p beyond the bound, where p ~ a_n x^n
+    values = [sign * (-1) ** n, *(_residual(t, c) for t in crit), sign]
+    delta, den = _discriminant(c)
+    expected = n if not den or delta >= 0 else n - 2
+    if den and delta == 0 and crit:
+        t0 = min(crit, key=lambda t: abs(values[ends.index(t)]))
+        values = [0.0 if t == t0 else v for t, v in zip(ends, values)]
+    roots = []
+    for (lo, r_lo), (hi, r_hi) in zip(zip(ends, values), zip(ends[1:], values[1:])):
+        if min(r_lo, r_hi) < 0.0 < max(r_lo, r_hi):
+            inside = [s for s in seeds if lo < s < hi] or [0.5 * lo + 0.5 * hi]
+            roots.append(_root_in(c, lo, hi, inside[0], r_hi > 0.0))
+    zeros = sorted({t for t, r in zip(crit, values[1:]) if r == 0.0})
+    mult = expected - len(roots)  # of the root at a zero, if any
+    if mult < 0 or len(zeros) != (mult > 0):
+        raise RuntimeError(f"found {len(roots)} simple and {len(zeros)} multiple real "
+                           f"roots of g(x) = 1; the discriminant gives {expected}")
+    roots += zeros * mult
+    for x in roots:
+        if not math.isfinite(c.lambda1 * x + c.lambda2 * x * x + c.lambda3 * x * x * x):
+            raise ValueError("f(x) = l1 x + l2 x^2 + l3 x^3 has a term beyond the "
+                             f"doubles at the root x = {x:.6g} of g(x) = 1")
+    return (roots, _ratio(delta, den) if den else None, n - len(roots),
+            set(zeros) if mult > 1 else set())
 
 
 def _solution_from_roots(c, base_mass, roots, discriminant, n_complex,
@@ -378,9 +372,9 @@ def fit_masses(masses: MassTriple, base="lightest") -> SpectrumSolution:
     The base mass m is the lightest target by default, else ``base``;
     the roots are x_i = (m_i / m)^2 and the coefficients follow from
     them in closed form.  Distinct masses: the spectrum is solved back
-    from the coefficients, and the solved masses must match the targets
-    to ROOT_CERTIFICATE, else ValueError; a base far below the masses
-    leaves too few digits in the coefficients for the round trip.
+    from the coefficients into three real roots whose masses match the
+    targets to ROOT_CERTIFICATE, else ValueError: close masses or a base
+    far below them leave too few digits in the coefficients for that.
     Exactly coincident masses are a multiple pole, but rounding the
     coefficients splits a double root or turns it into a complex pair,
     so the solve-back would report whatever the rounding did.  They are
@@ -391,17 +385,22 @@ def fit_masses(masses: MassTriple, base="lightest") -> SpectrumSolution:
     if m <= 0:
         raise ValueError("explicit base mass must be positive")
     values = masses.as_tuple()
-    xs = [(mass / m) ** 2 for mass in values]
+    xs = [(mass / m) * (mass / m) for mass in values]
+    if not all(x < math.inf for x in xs):
+        raise ValueError(f"base mass {m:g}: (m_i / m)^2 overflows for masses "
+                         f"{values}; keep the masses within a factor "
+                         f"{math.sqrt(np.finfo(float).max):.4g} of the base")
     c = lambdas_from_roots(*xs)
     repeated = {x for x, mass in zip(xs, values) if values.count(mass) > 1}
     if repeated:
         return _solution_from_roots(c, m, xs, discriminant=0.0, n_complex=0,
                                     multiple=repeated)
     solution = masses_from_lambdas(c, m)
-    err = math.inf
-    if len(solution.masses) == 3:
-        err = max(abs(got / want - 1.0)
-                  for got, want in zip(solution.masses, values))
+    if len(solution.roots) != 3:
+        raise ValueError(f"base mass {m:g}: rounded to doubles, the coefficients "
+                         f"of masses {values} have {len(solution.roots)} real roots, "
+                         "not 3: masses this close or a base this far below leave too few digits")
+    err = max(abs(got / want - 1.0) for got, want in zip(solution.masses, values))
     if not err <= ROOT_CERTIFICATE:
         raise ValueError(
             f"base mass {m:g}: the solved masses miss the targets by "

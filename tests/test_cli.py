@@ -280,6 +280,17 @@ def test_propagator_degenerate_exit_code(tmp_path):
                  "-o", str(tmp_path / "deg.csv")]) == 3
 
 
+def test_propagator_of_a_subnormal_l3(tmp_path):
+    # the closed form's rescaling by |l3|^(1/3) gave NaN roots: "cannot
+    # convert NaN to integer ratio" (exit 2); the one real root is 1 and
+    # the discriminant, -8.1e323, passes the largest double
+    assert main(["propagator", "--lambdas=0,0,-5e-324", "--mass", "1",
+                 "-o", str(tmp_path / "p.csv")]) == 0
+    poles = load_json(tmp_path / "p.csv.meta.json")["poles"]
+    assert poles["roots"] == [1.0] and poles["n_complex"] == 2
+    assert poles["discriminant"] == -math.inf
+
+
 def test_loop_preset_tail_exponent(tmp_path):
     out = tmp_path / "loop.csv"
     assert main(["loop", "--preset", "table3", "--variant", "scalar",
@@ -340,6 +351,22 @@ EDGE_INPUTS = [
     # the modified-scalar segment is ~1e-500, below every double
     (["loop", "--preset", "table3", "--pe", "1e150", "--cutoffs", "1e100,1e150"],
      "modified-scalar on [1e+100, 1e+150] reads 0, not a finite non-zero double"),
+    # roots at -1e290 and 2.35e195, where l3 x^3 passes the largest double:
+    # an OverflowError from the closed-form cubic (exit 1)
+    (["spectrum", "solve", "--lambdas=0.5,1e-10,1e-300", "--mass", "1"],
+     "has a term beyond the doubles at the root x = -1e+290 of g(x) = 1"),
+    (["loop", "--lambdas=-2.35e-5,2.35e-5,-1e-200", "--mass", "1"],
+     "has a term beyond the doubles at the root x = 2.35e+195 of g(x) = 1"),
+    (["spectrum", "solve", "--lambdas=1e300,0,5e-324", "--mass", "1"],
+     "are bounded only by 2^1037, beyond the doubles"),
+    # (m_i / m)^2 = 1e640: an OverflowError (exit 1)
+    (["spectrum", "fit", "--masses", "1e-160,1,1e160"],
+     "(m_i / m)^2 overflows for masses (1e-160, 1.0, 1e+160); keep the "
+     "masses within a factor 1.341e+154 of the base"),
+    # the rounded coefficients have a complex pair: the message blamed the
+    # base, which is already the lightest mass
+    (["spectrum", "fit", "--masses", "1,1.00000001,1.00000002"],
+     "have 1 real roots, not 3"),
     # W1 and W3 passed the largest double: inf rows, a numpy RuntimeWarning
     # and exit 0
     (["levy-measure", "--mass", "1", "--x-min", "1e-320", "--x-max", "1e-300"],

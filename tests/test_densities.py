@@ -268,6 +268,30 @@ def test_kernel_3d_scaling_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("kernel, m, r", [
+    # 2 a pi^2 r^2 underflowed: 0/0 and "overflows below r = 4.872e-153"
+    (levy_density_3d, 1e300, 1e-150),
+    # 2 a pi^2 r^2 overflowed: 0.0 where the kernel is 8.1e-286
+    (levy_density_3d, 1e-300, 1.057e146),
+    (levy_density_3d, 1e-300, 1e150),
+    # underflowed, with K2(700) normal: "overflows below r = 4.872e-128"
+    (levy_density_3d, 1e200, 7e-198),
+    # K1(740) is subnormal over pi r < 1: 2.4% off
+    (levy_density_1d, 1e110, 7.4e-108),
+], ids=["3d-0/0", "3d-x/inf", "3d-x/inf-far", "3d-K2-normal", "1d-K1-subnormal"])
+def test_kernels_at_extreme_masses_match_mpmath(kernel, m, r):
+    mpmath = pytest.importorskip("mpmath")
+    p = ExponentParams.from_mass(m)
+    order = 2 if kernel is levy_density_3d else 1
+    with mpmath.workdps(40):
+        x, a = mpmath.mpf(r), mpmath.mpf(p.a)
+        want = mpmath.besselk(order, x / a) / (
+            (2 * a) ** (order - 1) * (mpmath.pi * x) ** order)
+        want = float(want)
+    assert kernel(r, p) == pytest.approx(want, rel=1e-12, abs=0)
+    assert kernel(np.array([r, 2.0 * r]), p)[0] == kernel(r, p)
+
+
 def test_kernel_3d_domain():
     with pytest.raises(ValueError):
         levy_density_3d(0.0, UNIT)

@@ -205,6 +205,33 @@ def test_far_root_near_pair_property(pair, gap, far, above):
         assert got == pytest.approx(want, rel=1e-10)
 
 
+def cluster_lambdas(a, d1, d2):
+    return lambdas_from_roots(a, a * (1.0 + d1), a * (1.0 + d2)).as_tuple()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(cluster_lambdas, st.floats(min_value=1e-2, max_value=1e4),
+                 st.floats(min_value=1e-8, max_value=1e-3),
+                 st.floats(min_value=1e-8, max_value=1e-3)))
+# near-triple clusters where Newton, unbracketed, stopped between the two
+# nearby zeros of g' and the certificate accepted the point
+@example((-14.555487569133959, 80.65773117048667, -139.4078149506772))
+@example((-6.493480537223045, 18.71741685391352, -15.584288766876838))
+@example((0.8380843097143652, 0.008738896920147107, -0.00015721828079283908))
+@example((-96.82961339642993, 3190.2110857390153, -34677.45746286361))
+@pytest.mark.filterwarnings("ignore::levyqm.spectrum.NearDegenerateRootsWarning")
+def test_near_triple_cluster_property(lambdas):
+    # roots a, a (1 + d1), a (1 + d2): rounding the coefficients spreads
+    # them by ~1e-5 or makes a complex pair, and every real root of the
+    # float coefficients is found to 1e-12
+    c = CutoffPolynomial(*lambdas)
+    sol = masses_from_lambdas(c, 1.0)
+    exact = exact_real_roots(c)
+    assert len(sol.roots) == len(exact)
+    for got, want in zip(sol.roots, exact):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("xs", [(1.0, 42704.0, 1.19979e7),
                                 (1.0, 1.00002, 1e6), (2.0, 1e5, 1.00001e5),
                                 (0.01, 0.0100002, 0.0100004)])
@@ -416,3 +443,36 @@ def test_fit_rejects_a_base_that_loses_the_round_trip(base):
     # solved masses miss by 1.9e-9 at 1e-4 and one root is lost at 1e-8
     with pytest.raises(ValueError, match=f"base mass {base:g}"):
         fit_masses(MassTriple(1.0, 2.0, 3.0), base)
+
+
+@pytest.mark.filterwarnings("ignore::levyqm.spectrum.NearDegenerateRootsWarning")
+def test_fit_names_the_real_roots_that_close_masses_keep():
+    # the base is the lightest mass; the coefficients of masses 1e-8 apart,
+    # rounded to doubles, have a complex pair
+    with pytest.raises(ValueError, match="have 1 real roots, not 3"):
+        fit_masses(MassTriple(1.0, 1.00000001, 1.00000002))
+
+
+def test_a_subnormal_l3_leaves_one_real_root():
+    # the closed form's rescaling by |l3|^(1/3) made NaN roots here
+    sol = masses_from_lambdas(CutoffPolynomial(0.0, 0.0, -5e-324), 1.0)
+    assert sol.roots == (1.0,)
+    assert sol.n_complex == 2
+    assert sol.discriminant == -math.inf  # -8.1e323, past the largest double
+
+
+@pytest.mark.parametrize("s, r", [(Fraction(-32, 3), Fraction(-32)),
+                                  (Fraction(8, 3), Fraction(8, 3)),
+                                  (Fraction(16, 5), Fraction(16, 5))],
+                         ids=["double", "triple", "triple-between-two-doubles"])
+def test_multiple_root_off_the_doubles(s, r):
+    # g(x) - 1 = -l3 (x - s)^2 (x - r) with coefficients that are doubles
+    # while s is not: no double zeroes the residual, the exact discriminant
+    # is 0, and the critical point where the residual is nearest 0 holds
+    # the multiple root
+    l3 = -1 / (s * s * r)
+    lambdas = (1 + l3 * (s * s + 2 * s * r), -l3 * (2 * s + r), l3)
+    assert all(float(v) == v for v in lambdas)
+    sol = masses_from_lambdas(CutoffPolynomial(*map(float, lambdas)), 1.0)
+    assert sol.degenerate and sol.discriminant == 0.0
+    assert sol.roots == pytest.approx(sorted(map(float, (s, s, r))), rel=1e-15)
