@@ -268,8 +268,7 @@ def cmd_density(args) -> int:
     table = transition_density(args.dt, params, eta, grid)
     out = emit(args, {
         "grid": {"n": grid.n, "dx": grid.dx, "du": grid.du, "u_max": grid.u_max},
-        "diagnostics": {"clipped_mass": table.clipped_mass,
-                        "max_imag": table.max_imag},
+        "diagnostics": {"clipped_mass": table.clipped_mass},
         "summary": {"normalization": table.normalization(),
                     "variance": moments(table, 2)},
     }, {"x": grid.x_centers(), "value": table.values},

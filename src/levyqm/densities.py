@@ -8,9 +8,11 @@ eta is
 computed here by the discrete Fourier inversion on a uniform centered
 grid.  Grid convention: x_j = (j - n/2) dx, angular frequencies in
 numpy fft order u_k = 2 pi k / (n dx); the centering contributes the
-alternating factor (-1)^k, so
+alternating factor (-1)^k.  phi is real and even in u, so its transform
+is real and the half spectrum k = 0..n/2 determines it (Sorensen et al.
+1987):
 
-    p(x_j) = Re[ fft(phi * (-1)^k) ]_j / (n dx).
+    p(x_j) = irfft(phi_k * (-1)^k, k = 0..n/2)_j / dx.
 
 The module also evaluates the Bessel-type jump kernels of the
 relativistic pure-jump process,
@@ -70,16 +72,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Probability density sampled on a grid, with inversion diagnostics.
+    """Probability density sampled on a grid.
 
     clipped_mass: total (negative) ringing mass set to zero
-    max_imag:     largest |imaginary residual| of the inversion
     """
 
     grid: GridSpec
     values: np.ndarray
     clipped_mass: float = 0.0
-    max_imag: float = 0.0
 
     def normalization(self) -> float:
         return float(np.sum(self.values) * self.grid.dx)
@@ -91,10 +91,9 @@ class DensityTable:
         return self.grid.x_centers(), cdf
 
 
-def _finalize_density(grid: GridSpec, raw: np.ndarray) -> DensityTable:
-    values = raw.real.copy()
-    max_imag = float(np.max(np.abs(raw.imag))) if np.iscomplexobj(raw) else 0.0
-
+def _finalize_density(grid: GridSpec, values: np.ndarray) -> DensityTable:
+    """Gate and freeze a real table; clips ``values`` in place, so pass a
+    fresh array."""
     negative = values < 0.0
     worst = float(values.min()) if negative.any() else 0.0
     if worst < -1e-10:
@@ -114,8 +113,7 @@ def _finalize_density(grid: GridSpec, raw: np.ndarray) -> DensityTable:
         raise GridError("density is asymmetric beyond 1e-9 of its peak")
 
     values.setflags(write=False)
-    return DensityTable(grid=grid, values=values, clipped_mass=clipped_mass,
-                        max_imag=max_imag)
+    return DensityTable(grid=grid, values=values, clipped_mass=clipped_mass)
 
 
 def nyquist_margin(eta, dt: float, tau: float, grid: GridSpec) -> float:
@@ -174,11 +172,10 @@ def transition_density(dt: float, params: ExponentParams, eta,
             f"grid too coarse: |phi(u_max)| >= 1e-12 at u_max = {grid.u_max:g}; "
             f"need dx <= {required_dx(eta, dt, params.tau):g}")
 
-    u = grid.u_fft()
+    u = 2.0 * math.pi * np.fft.rfftfreq(grid.n, d=grid.dx)  # |u_fft()[:n/2 + 1]|
     phi = np.exp((dt / params.tau) * np.asarray(eta(u), dtype=float))
     phi[1::2] *= -1.0  # (-1)^k centres the table's origin
-    raw = np.fft.fft(phi) / (grid.n * grid.dx)
-    return _finalize_density(grid, raw)
+    return _finalize_density(grid, np.fft.irfft(phi, grid.n) / grid.dx)
 
 
 def convolve(a: DensityTable, b: DensityTable) -> DensityTable:
@@ -191,9 +188,9 @@ def convolve(a: DensityTable, b: DensityTable) -> DensityTable:
     if a.grid != b.grid:
         raise ValueError("tables must share a grid")
     n = a.grid.n
-    fa = np.fft.fft(np.fft.ifftshift(a.values))
-    fb = np.fft.fft(np.fft.ifftshift(b.values))
-    raw = np.fft.fftshift(np.fft.ifft(fa * fb)) * a.grid.dx
+    fa = np.fft.rfft(np.fft.ifftshift(a.values))
+    fb = np.fft.rfft(np.fft.ifftshift(b.values))
+    raw = np.fft.fftshift(np.fft.irfft(fa * fb, n)) * a.grid.dx
     return _finalize_density(a.grid, raw)
 
 
@@ -230,17 +227,26 @@ def levy_density_3d(r, params: ExponentParams):
 
 
 def _jump_kernel(order: int, r, params: ExponentParams, denominator):
-    """K_order(r/a) / denominator(r), or a ValueError naming the radius below
-    which it overflows.
+    """K_order(r/a) / denominator(r), or a ValueError naming the smallest
+    radius at which it is finite."""
+    out = _kernel_values(order, r, params, denominator)
+    if not np.isfinite(out).all():
+        r_min = _smallest_finite_radius(order, params, denominator,
+                                        float(r[~np.isfinite(out)].min()))
+        raise ValueError(f"the {2 * order - 1}D jump kernel overflows below "
+                         f"r = {r_min:.4g} at a = {params.a:.6g}; "
+                         f"use radii >= {1.001 * r_min:.4g}")
+    return out
 
-    K1(z) < 1/z and K2(z) < 2/z^2, so W1 < a/(pi r^2) and W3 < a/(pi^2 r^4):
-    the kernel of order n stays finite for r >= (a / (pi^n DBL_MAX))^(1/2n)
-    wherever ``bessel_k`` does.  Where the denominator (2a)^(n-1) (pi r)^n
-    is not a normal double, or K_order(r/a) is not and the denominator is
-    below 1 (at extreme masses), the quotient would read 0/0, x/inf or a
-    subnormal's few digits; there the kernel is exp(log K - log
-    denominator), with log K = log kve(n, z) - z (z = r/a) where K
-    underflows.
+
+def _kernel_values(order: int, r, params: ExponentParams, denominator):
+    """K_order(r/a) / denominator(r), inf where it overflows.
+
+    Where the denominator (2a)^(n-1) (pi r)^n is not a normal double, or
+    K_order(r/a) is not and the denominator is below 1 (at extreme
+    masses), the quotient would read 0/0, x/inf or a subnormal's few
+    digits; there the kernel is exp(log K - log denominator), with log K
+    = log kve(n, z) - z (z = r/a) where K underflows.
     """
     tiny, big = np.finfo(float).tiny, np.finfo(float).max
     with np.errstate(all="ignore"):
@@ -253,8 +259,10 @@ def _jump_kernel(order: int, r, params: ExponentParams, denominator):
         d = np.asarray(denominator(r))
         # K_order(z) is subnormal from z ~ 705, and the denominator grows
         # with r; a subnormal K over d >= 1 is as exact as a subnormal can be
+        # (a numpy 700 a, as a float's ** 2 raises OverflowError past 1e154)
         inexact = False
-        if d.max() > big or d.min() < tiny or denominator(700.0 * params.a) < 1.0:
+        if (d.max() > big or d.min() < tiny
+                or denominator(np.float64(700.0 * params.a)) < 1.0):
             inexact = (d < tiny) | (d > big) | ((k < tiny) & (d < 1.0))
         out = np.divide(k, d, out=d)
         if np.any(inexact):
@@ -266,14 +274,34 @@ def _jump_kernel(order: int, r, params: ExponentParams, denominator):
             log_d = (order * (math.log(math.pi) + np.log(r[inexact]))
                      + (order - 1) * (math.log(2.0) + math.log(params.a)))
             out[inexact] = np.exp(log_k - log_d)
-    if not np.isfinite(out).all():
-        root = 0.5 / order
-        r_min = max((params.a / math.pi ** order) ** root / np.finfo(float).max ** root,
-                    params.a * K_SMALLEST_ARG[order])
-        raise ValueError(f"the {2 * order - 1}D jump kernel overflows below "
-                         f"r = {r_min:.4g} at a = {params.a:.6g}; "
-                         f"use radii >= {1.001 * r_min:.4g}")
     return out
+
+
+def _smallest_finite_radius(order: int, params: ExponentParams, denominator,
+                            r_inf: float) -> float:
+    """Smallest double r at which the kernel is finite, given r_inf where it
+    is not; the kernel falls with r, so this bisects the doubles above
+    r_inf, whose bit patterns are ordered as integers.
+
+    K1(z) < 1/z and K2(z) < 2/z^2, so W1 < a/(pi r^2) and W3 < a/(pi^2 r^4)
+    are finite from (a / (pi^n DBL_MAX))^(1/2n); that bound starts the
+    search.  It is tight only where it lies far below a: at extreme masses
+    the kernel overflows at r ~ a, where K_order decays exponentially.
+    """
+    def finite(bits):
+        r = np.array([bits], dtype=np.int64).view(float)
+        return np.isfinite(_kernel_values(order, r, params, denominator)[0])
+
+    root = 0.5 / order
+    hi = max((params.a / math.pi ** order) ** root / np.finfo(float).max ** root,
+             params.a * K_SMALLEST_ARG[order], r_inf)
+    lo, hi = (int(b) for b in np.array([r_inf, hi]).view(np.int64))
+    while not finite(hi):
+        hi += 1 << 52  # doubles the radius
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finite(mid) else (mid, hi)
+    return float(np.array([hi], dtype=np.int64).view(float)[0])
 
 
 def relativistic_triplet(params: ExponentParams) -> LevyTriplet:

@@ -76,7 +76,7 @@ class PathSample:
     def __post_init__(self):
         if self.positions[0] != 0.0 or self.times[0] != 0.0:
             raise ValueError("paths must start at (t, X) = (0, 0)")
-        if np.any(np.diff(self.times) <= 0):
+        if (self.times[1:] <= self.times[:-1]).any():
             raise ValueError("times must be strictly increasing")
 
     def increments(self) -> np.ndarray:
@@ -207,10 +207,11 @@ def sample_increment(dt: float, params: ExponentParams, g, size=None):
 def sample_path(T: float, steps: int, params: ExponentParams, g) -> PathSample:
     """Cumulative sum of `steps` independent stationary increments."""
     _check_run(T, steps, 1)
-    rng = _as_generator(g)
-    incs = sample_increment(T / steps, params, rng, size=steps)
-    positions = np.concatenate([[0.0], np.cumsum(incs)])
-    times = np.linspace(0.0, T, steps + 1)
+    incs = _increments(*_clock_law(T / steps, params), _as_generator(g), steps)
+    positions = np.zeros(steps + 1)
+    np.cumsum(incs, out=positions[1:])
+    times = np.arange(steps + 1) * (T / steps)  # linspace(0, T, steps + 1)
+    times[-1] = T
     return PathSample(times=times, positions=positions)
 
 

@@ -390,6 +390,12 @@ def fit_masses(masses: MassTriple, base="lightest") -> SpectrumSolution:
         raise ValueError(f"base mass {m:g}: (m_i / m)^2 overflows for masses "
                          f"{values}; keep the masses within a factor "
                          f"{math.sqrt(np.finfo(float).max):.4g} of the base")
+    for mass, x in zip(values, xs):
+        # 1 / x overflows from a subnormal x on
+        if x < np.finfo(float).tiny:
+            raise ValueError(f"base mass {m:g}: (m_i / m)^2 underflows for the "
+                             f"mass {mass:g}; keep the masses at least "
+                             f"{math.sqrt(np.finfo(float).tiny):.4g} times the base")
     c = lambdas_from_roots(*xs)
     repeated = {x for x, mass in zip(xs, values) if values.count(mass) > 1}
     if repeated:

@@ -363,6 +363,14 @@ EDGE_INPUTS = [
     (["spectrum", "fit", "--masses", "1e-160,1,1e160"],
      "(m_i / m)^2 overflows for masses (1e-160, 1.0, 1e+160); keep the "
      "masses within a factor 1.341e+154 of the base"),
+    # (m_1 / m)^2 = 1e-310 is subnormal and 1/x overflowed: "cutoff
+    # coefficients must be finite"; at 1e-308 the certificate raised a
+    # RuntimeError (exit 1)
+    (["spectrum", "fit", "--masses", "1e-155,1,2", "--base", "1"],
+     "base mass 1: (m_i / m)^2 underflows for the mass 1e-155; keep the "
+     "masses at least 1.492e-154 times the base"),
+    (["spectrum", "fit", "--masses", "1e-154,1,2", "--base", "1"],
+     "(m_i / m)^2 underflows for the mass 1e-154"),
     # the rounded coefficients have a complex pair: the message blamed the
     # base, which is already the lightest mass
     (["spectrum", "fit", "--masses", "1,1.00000001,1.00000002"],

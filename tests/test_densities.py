@@ -203,7 +203,7 @@ def test_finalize_clips_and_records_tiny_negatives():
     x = grid.x_centers()
     vals = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
     vals[3] = vals[grid.n - 3] = -5e-11
-    table = _finalize_density(grid, vals.astype(complex))
+    table = _finalize_density(grid, vals)
     assert table.clipped_mass == pytest.approx(1e-11, rel=1e-6)
     assert table.values[3] == 0.0
 
@@ -214,7 +214,7 @@ def test_finalize_rejects_large_negatives():
     vals = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
     vals[3] = vals[grid.n - 3] = -1e-9
     with pytest.raises(GridError, match="negative"):
-        _finalize_density(grid, vals.astype(complex))
+        _finalize_density(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,11 @@ def test_kernel_3d_scaling_identity():
     (levy_density_3d, 1e200, 7e-198),
     # K1(740) is subnormal over pi r < 1: 2.4% off
     (levy_density_1d, 1e110, 7.4e-108),
-], ids=["3d-0/0", "3d-x/inf", "3d-x/inf-far", "3d-K2-normal", "1d-K1-subnormal"])
+    # a normal 2 a pi^2 r^2 with 700 a past 1.3e154: an OverflowError from
+    # the float (700 a)^2 of the branch test
+    (levy_density_3d, 1e-200, 1e50),
+], ids=["3d-0/0", "3d-x/inf", "3d-x/inf-far", "3d-K2-normal", "1d-K1-subnormal",
+        "3d-huge-a"])
 def test_kernels_at_extreme_masses_match_mpmath(kernel, m, r):
     mpmath = pytest.importorskip("mpmath")
     p = ExponentParams.from_mass(m)
@@ -314,10 +318,12 @@ def test_kernel_3d_is_the_radial_derivative_of_kernel_1d(a):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kernel", [levy_density_1d, levy_density_3d])
-@pytest.mark.parametrize("m", [1e-30, 1.0, 1e30])
+@pytest.mark.parametrize("m", [1e-300, 1e-200, 1e-30, 1.0, 1e30, 1e200, 1e300])
 def test_kernel_overflow_names_the_smallest_radius(kernel, m):
     # W1 ~ a/(pi r^2) and W3 ~ a/(pi^2 r^4) passed the largest double and
-    # came out inf (1e-300 and below made bessel_k's K1 or K2 overflow first)
+    # came out inf (1e-300 and below made bessel_k's K1 or K2 overflow first);
+    # that bound assumes r << a, and at m = 1e300 it named r = 4.872e-153
+    # for W3, which is finite from r = 1.342e-297
     p = ExponentParams.from_mass(m)
     with pytest.raises(ValueError, match="jump kernel overflows below r = ") as info:
         kernel(np.array([1.0, 1e-320]), p)
@@ -325,5 +331,6 @@ def test_kernel_overflow_names_the_smallest_radius(kernel, m):
     named = float(message.rsplit(">= ", 1)[1])
     assert np.isfinite(kernel(named, p))
     below = float(message.split("below r = ")[1].split(" ")[0])
-    with pytest.raises(ValueError):
-        kernel(0.999 * below, p)
+    for factor in (0.999, 0.99):
+        with pytest.raises(ValueError):
+            kernel(factor * below, p)

@@ -192,8 +192,31 @@ def test_small_horizon_endpoints_are_cauchy(T):
 
 
 def test_path_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start at"):
         PathSample(times=np.array([0.0, 1.0]), positions=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="start at"):
+        PathSample(times=np.array([0.5, 1.0]), positions=np.array([0.0, 2.0]))
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nextafter(0.0, -1.0)]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PathSample(times=np.array(times), positions=np.zeros(len(times)))
+    PathSample(times=np.array([0.0, 5e-324]), positions=np.zeros(2))
+
+
+@pytest.mark.parametrize("T, steps", [(1.0, 1), (0.7, 1), (2.0, 10), (0.37, 7),
+                                      (1.3, 100), (1e-3, 3), (1e5, 1000)])
+def test_sample_path_keeps_the_old_bytes(T, steps):
+    # the formula this replaced, written out: sample_increment's batch,
+    # a leading zero by concatenate, linspace times and an np.diff gate;
+    # two paths from one generator, as a stream of paths is drawn
+    new_gen, old_gen = (SeededGenerator(17, 2).generator() for _ in range(2))
+    for _ in range(2):
+        path = sample_path(T, steps, UNIT, new_gen)
+        incs = sample_increment(T / steps, UNIT, old_gen, size=steps)
+        positions = np.concatenate([[0.0], np.cumsum(incs)])
+        times = np.linspace(0.0, T, steps + 1)
+        assert not np.any(np.diff(times) <= 0)
+        assert path.times.tobytes() == times.tobytes()
+        assert path.positions.tobytes() == positions.tobytes()
 
 
 def test_endpoint_law_invariant_under_step_count():
@@ -375,29 +398,37 @@ def old_eta_relativistic(u, params):
     return np.where(t < 1.0, small, large)
 
 
+def half_spectrum_density(t, grid):
+    """The table's formula written out: |u| at k = 0..n/2, signs alternating
+    through an np.where array, irfft over dx."""
+    u = grid.u_fft()[:grid.n // 2 + 1]
+    phi = np.exp((t / UNIT.tau) * old_eta_relativistic(u, UNIT))
+    alt = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)
+    return np.fft.irfft(phi * alt, grid.n) / grid.dx
+
+
+def clipped(values, dx):
+    values = values.copy()
+    negative = values < 0.0
+    mass = float(-values[negative].sum() * dx) if negative.any() else 0.0
+    values[negative] = 0.0
+    return values, mass
+
+
 @pytest.mark.parametrize("t", [1.3, 0.13, 0.7])
 def test_density_and_ks_trims_keep_the_old_bytes(t):
     # the formulas these replaced, written out: eta took hypot twice, the
-    # table's signs alternated through an np.where array, the symmetry gate
-    # gathered values[j] and values[n - j], and D was the largest of
-    # |i/n - f| and |(i - 1)/n - f|
+    # symmetry gate gathered values[j] and values[n - j], and D was the
+    # largest of |i/n - f| and |(i - 1)/n - f|
     eta = LogCharacteristic.relativistic(UNIT)
     grid = default_grid(UNIT, t)
     u = np.linspace(-grid.u_max, grid.u_max, 10001)
     assert eta_relativistic(u, UNIT).tobytes() == \
         old_eta_relativistic(u, UNIT).tobytes()
 
-    phi = np.exp((t / UNIT.tau) * old_eta_relativistic(grid.u_fft(), UNIT))
-    alt = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
-    raw = np.fft.fft(phi * alt) / (grid.n * grid.dx)
-    values = raw.real.copy()
-    negative = values < 0.0
-    clipped_mass = float(-values[negative].sum() * grid.dx) \
-        if negative.any() else 0.0
-    values[negative] = 0.0
+    values, clipped_mass = clipped(half_spectrum_density(t, grid), grid.dx)
     table = transition_density(t, UNIT, eta, grid)
     assert table.values.tobytes() == values.tobytes()
-    assert table.max_imag == float(np.max(np.abs(raw.imag)))
     assert table.clipped_mass == clipped_mass
 
     # one cell off by just under and just over the gate's 1e-9 of the peak
@@ -420,6 +451,24 @@ def test_density_and_ks_trims_keep_the_old_bytes(t):
     d = float(np.max(np.maximum(np.abs(i / n - f_ref),
                                 np.abs((i - 1) / n - f_ref))))
     assert ks_validate(samples, table).d == d
+
+
+@pytest.mark.parametrize("t", [1.3, 0.13, 0.7])
+def test_half_spectrum_density_is_the_complex_transform(t):
+    # the full complex transform Re fft(phi (-1)^k) / (n dx) of the even phi,
+    # which the table took before, agrees to 1e-15 of the peak
+    grid = default_grid(UNIT, t)
+    phi = np.exp((t / UNIT.tau) * old_eta_relativistic(grid.u_fft(), UNIT))
+    phi[1::2] *= -1.0
+    full = np.fft.fft(phi) / (grid.n * grid.dx)
+    assert np.abs(full.imag).max() < 1e-15 * full.real.max()
+    old, _ = clipped(full.real, grid.dx)
+    table = transition_density(t, UNIT, LogCharacteristic.relativistic(UNIT), grid)
+    assert np.abs(table.values - old).max() <= 1e-15 * old.max()
+    # irfft is not symmetric to the last bit, so the symmetry gate still
+    # sees rounding; it must stay far below the gate's 1e-9 of the peak
+    half = half_spectrum_density(t, grid)
+    assert np.abs(half[1:] - half[:0:-1]).max() < 1e-14 * half.max()
 
 
 def test_ks_report_serialization():
